@@ -2,26 +2,25 @@
  * @file
  * Work-stealing parallel symbolic exploration (DESIGN.md §11).
  *
- * The coordinator owns the authoritative serial exploration: the LIFO
- * frontier, the conservative state table, the governor, the violation
- * log and the execution tree all live here, and every segment's
- * *effects* are applied in exactly the order the serial engine would
- * produce them. Worker processes only ever execute segments
- * speculatively -- pure functions of their start state
- * (ift/path_sim.hh) -- and publish the results into a digest-keyed
- * cache. When the serial apply reaches a state whose digest is cached,
- * it consumes the result instead of re-simulating; when it is not (or
- * the cached result would cross a budget threshold mid-segment), the
- * coordinator simulates inline under the real governor. The verdict,
- * violation set, cycle counts and execution tree are therefore
- * bit-identical to the serial engine for every job count, and progress
- * never depends on any worker staying alive.
+ * ParallelEngine is IftEngine's own exploration loop with a worker
+ * fleet plugged in as its SegmentMemo (ift/path_sim.hh). Worker
+ * processes execute segments speculatively -- pure functions of their
+ * start state -- and publish the results into a cache keyed by the
+ * start state's digest. At the start of every segment the loop asks
+ * the cache; a hit is applied exactly like the same segment simulated
+ * inline, and a miss (or a cached result that would cross a cycle
+ * budget threshold mid-segment) is simulated in-process under the real
+ * governor. The verdict, violation set, cycle counts and execution
+ * tree are therefore bit-identical to the serial engine for every job
+ * count, and progress never depends on any worker staying alive.
  *
  * Work is sharded to per-worker queues round-robin; a drained worker
  * steals from the most loaded queue (explore.steals). A worker that
  * dies (crash, kill -9, injected fault) is detected by pipe EOF, its
  * outstanding work is resharded, and it is respawned up to a cap
- * (explore.workers_respawned).
+ * (explore.workers_respawned). Work units and results travel through
+ * a scratch directory under $TMPDIR (/tmp when unset), removed at
+ * exit.
  */
 
 #ifndef GLIFS_EXPLORE_COORDINATOR_HH

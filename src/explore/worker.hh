@@ -16,9 +16,9 @@
  * speculatively *chains*: as long as a segment ends at a commit with a
  * concrete PC (the case the serial engine continues inline), the next
  * segment is run from its end state, up to a chain cap. Each link is
- * reported under its own start-state digest, so the coordinator's
- * strictly-serial apply consumes exactly the prefix of the chain that
- * the authoritative state table agrees with and prunes the rest.
+ * reported under its own start-state digest, so the engine's loop in
+ * the coordinator takes exactly the prefix of the chain that its state
+ * table agrees with; the rest is never looked up.
  *
  * All file and pipe I/O goes through faultfs, so the crash-recovery
  * sweeps (GLIFS_FAULT_PLAN) can kill a worker deterministically at any

@@ -1,8 +1,10 @@
 #include "ift/engine.hh"
 
+#include <algorithm>
 #include <chrono>
-#include <cstdio>
+#include <optional>
 #include <sstream>
+#include <tuple>
 
 #include "base/logging.hh"
 #include "base/stats.hh"
@@ -12,7 +14,6 @@
 #include "ift/engine_stats.hh"
 #include "ift/path_sim.hh"
 #include "ift/symstate.hh"
-#include "sim/simulator.hh"
 
 namespace glifs
 {
@@ -86,16 +87,17 @@ EngineResult::summary() const
 namespace
 {
 
-/** Everything one run() invocation needs. */
+/** Everything one run() invocation needs: the one exploration loop. */
 struct RunCtx
 {
     PathSim ps; ///< sim, layout, checker and the Algorithm-1 helpers
+    const SegmentMemo *memo; ///< segment-result cache, or nullptr
 
     ViolationLog log;
     StateTable table;
     ExecTree tree;
     ResourceGovernor gov;
-    std::vector<std::pair<SymState, uint32_t>> stack;  // state, node
+    std::vector<FrontierEntry> stack;
     BitPlane everTainted;
 
     uint64_t totalCycles = 0;
@@ -103,13 +105,15 @@ struct RunCtx
     bool starAborted = false;
     bool budgetHit = false;
     size_t branchPoints = 0;
+    /** (tainted, total) gates of the *-logic abort's saturation. */
+    std::pair<size_t, size_t> starGates{0, 0};
 
     DegradeLevel level = DegradeLevel::None;
     std::vector<Degradation> degradations;
 
     RunCtx(const Soc &s, const Policy &p, const EngineConfig &c,
-           const ProgramImage &img)
-        : ps(s, p, c, img), gov(c.budgets),
+           const ProgramImage &img, const SegmentMemo *m)
+        : ps(s, p, c, img), memo(m), gov(c.budgets),
           everTainted(s.netlist().numNets())
     {
     }
@@ -166,6 +170,327 @@ struct RunCtx
                           ev.severity, instr_addr, ev.detail);
         return Escalation::KillPath;
     }
+
+    /**
+     * Resource governance, before every simulated cycle of the path
+     * at tree node @p node: poll every budget dimension. Soft
+     * exhaustion degrades in place; hard exhaustion stops the run
+     * with a partial result (and a resumable snapshot of the
+     * frontier) -- never a fatal.
+     */
+    CycleAction
+    poll(uint32_t node)
+    {
+        auto ev = gov.poll();
+        if (!ev)
+            return CycleAction::Continue;
+        const uint16_t at = ps.tryBusValue(ps.soc.probes().instrAddrQ);
+        if (ev->severity == BudgetSeverity::Hard) {
+            recordDegradation(DegradeLevel::PartialStop, ev->kind,
+                              ev->severity, at, ev->detail);
+            budgetHit = true;
+            tree.node(node).end = PathEnd::Budget;
+            tree.node(node).endInstr = at;
+            return CycleAction::Stop;
+        }
+        if (escalate(*ev, at) == Escalation::KillPath) {
+            tree.node(node).end = PathEnd::Degraded;
+            tree.node(node).endInstr = at;
+            return CycleAction::Kill;
+        }
+        return CycleAction::Continue;
+    }
+
+    /**
+     * Cycles left before the next cycle-budget threshold. The poll
+     * runs before *every* cycle, so a cached segment this long or
+     * longer would skip the exact cycle where the run degrades or
+     * stops; it is simulated instead. (Wall-clock and RSS budgets are
+     * timing-dependent anyway and fire at its boundary.)
+     */
+    uint64_t
+    cycleLimit() const
+    {
+        uint64_t limit = UINT64_MAX;
+        for (uint64_t t :
+             {ps.cfg.budgets.softCycles, ps.cfg.budgets.hardCycles}) {
+            if (t && totalCycles < t)
+                limit = std::min(limit, t - totalCycles);
+        }
+        return limit;
+    }
+
+    /**
+     * Fold one finished segment of the path at tree node @p node into
+     * the run, in the order the cycles happened: taint, violations
+     * (rebased from segment-relative onto the run's clock, which read
+     * @p c0 at the segment start), POR forks, then the segment end --
+     * stop, kill, *-logic abort, HALT, or the commit's state-table
+     * visit and branch enumeration.
+     *
+     * Returns the state the path continues from (a commit with a
+     * concrete PC that the table did not subsume), or nullopt when
+     * the path ends. @p merged reports whether that state was widened
+     * by a merge. @p simulated is false for a memo hit, whose end
+     * state the simulator does not hold.
+     */
+    std::optional<SymState>
+    apply(uint32_t node, SegmentResult seg, uint64_t c0,
+          bool simulated, bool &merged)
+    {
+        EngineStats &es = engineStats();
+        trace::Tracer &tr = trace::Tracer::instance();
+
+        if (ps.cfg.trackTaintedNets && seg.taintDelta.size() > 0)
+            everTainted.orWith(seg.taintDelta);
+        for (Violation &v : seg.violations) {
+            v.firstCycle += c0;
+            log.merge(v);
+        }
+        // Unknown watchdog expiry: the fired branch becomes a fresh
+        // execution point; the not-fired one went on in the segment.
+        // A simulated segment traced its forks as they happened.
+        for (SegmentPorFork &f : seg.porForks) {
+            ++branchPoints;
+            ++es.branchPoints;
+            ++es.porForks;
+            if (!simulated) {
+                GLIFS_TRACE_INSTANT_ARGS("engine", "por_fork",
+                                         add("instr", hex16(f.instr))
+                                             .add("cycle", c0 + f.cycle));
+            }
+            uint32_t cn = tree.addNode(node, f.startPc);
+            stack.push_back({std::move(f.fired), cn, {}});
+        }
+
+        if (seg.killed) {
+            // *-logic the offending path: saturate to tainted-X and
+            // terminate it conservatively.
+            ps.starSaturate(&everTainted);
+            return std::nullopt;
+        }
+        if (seg.stopped) {
+            if (ps.cfg.checkpointOnStop) {
+                // Park the in-flight path back on the frontier so the
+                // snapshot resumes it; it will be popped (and counted)
+                // again.
+                stack.push_back({std::move(seg.end), node, {}});
+                --pathsExplored;
+            }
+            return std::nullopt;
+        }
+        const uint16_t instr_addr = seg.endInstr;
+        if (seg.starAborted) {
+            starGates = ps.starSaturate(&everTainted);
+            starAborted = true;
+            tree.node(node).end = PathEnd::StarAborted;
+            tree.node(node).endInstr = instr_addr;
+            return std::nullopt;
+        }
+        if (seg.halted) {
+            // The segment already ran the halt memory-invariant scan.
+            tree.node(node).end = PathEnd::Halted;
+            tree.node(node).endInstr = instr_addr;
+            return std::nullopt;
+        }
+
+        const uint16_t fsm = seg.endFsm;
+        SymState &cur = seg.end;
+        const uint32_t table_key =
+            (static_cast<uint32_t>(instr_addr) << 4) | fsm;
+        // Plain conservative merge: cross-path differences that could
+        // leak are all caught by the per-cycle C1-C5 checks (untainted
+        // code with a tainted PC, partition escapes, port escapes),
+        // mirroring the proof structure of Section 5.4, so the merge
+        // itself need not re-taint.
+        StateTable::Visit visit =
+            ps.cfg.disableMerging ? StateTable::Visit::New
+                                  : table.visit(table_key, cur);
+        gov.noteStates(table.size());
+        if (tr.enabled()) {
+            static const char *const visitNames[] = {"new", "subsumed",
+                                                     "merged"};
+            tr.instant("engine", "visit",
+                       trace::Args()
+                           .add("instr", hex16(instr_addr))
+                           .add("fsm", static_cast<uint64_t>(fsm))
+                           .add("result",
+                                visitNames[static_cast<int>(visit)])
+                           .add("cycle", totalCycles)
+                           .str());
+        }
+        if (visit == StateTable::Visit::Subsumed) {
+            tree.node(node).end = PathEnd::Subsumed;
+            tree.node(node).endInstr = instr_addr;
+            if (!simulated) {
+                // The scan below reads the data-memory cells out of
+                // the simulator; put the segment's end state there.
+                cur.restore(ps.layout, ps.sim.state());
+                ps.sim.markAllDirty();
+            }
+            ps.checker.checkMemoryInvariant(ps.sim, instr_addr,
+                                            totalCycles, log);
+            return std::nullopt;
+        }
+
+        // visit() merged or stored; cur is now the conservative state
+        // to continue from.
+        const size_t pc_xbits = ps.statePcXBits(cur).size();
+        if (pc_xbits == 0) {
+            merged = visit == StateTable::Visit::Merged;
+            return std::move(cur);
+        }
+
+        // Soft branch-fanout threshold: a wide unknown-PC branch
+        // escalates the ladder before enumerating.
+        if (ps.cfg.budgets.softBranchBits &&
+            pc_xbits > ps.cfg.budgets.softBranchBits &&
+            level == DegradeLevel::None) {
+            BudgetEvent ev{ResourceKind::BranchFanout,
+                           BudgetSeverity::Soft,
+                           detail::concat(pc_xbits,
+                                          " unknown PC bits at ",
+                                          hex16(instr_addr))};
+            escalate(ev, instr_addr);
+        }
+
+        bool overflow = false;
+        std::vector<uint16_t> pcs =
+            ps.candidatePcs(instr_addr, cur, overflow);
+        if (overflow) {
+            // Hard fanout exhaustion: unbounded indirect control flow.
+            // Degrade the path to the *-logic abstraction instead of
+            // aborting the analysis. starSaturate overwrites every
+            // flop, memory cell and input before settling, so it
+            // needs no particular simulator state to start from.
+            recordDegradation(
+                DegradeLevel::StarLogicPath, ResourceKind::BranchFanout,
+                BudgetSeverity::Hard, instr_addr,
+                detail::concat(pc_xbits, " unknown PC bits exceed ",
+                               ps.cfg.maxBranchBits,
+                               " (consider masking the target)"));
+            ps.starSaturate(&everTainted);
+            tree.node(node).end = PathEnd::Degraded;
+            tree.node(node).endInstr = instr_addr;
+            return std::nullopt;
+        }
+        ++branchPoints;
+        ++es.branchPoints;
+        ++es.pcFanouts;
+        es.fanoutWidth.sample(static_cast<double>(pcs.size()));
+        GLIFS_TRACE_INSTANT_ARGS(
+            "engine", "branch",
+            add("instr", hex16(instr_addr))
+                .add("successors", static_cast<uint64_t>(pcs.size()))
+                .add("cycle", totalCycles));
+        for (uint16_t pc : pcs) {
+            uint32_t cn = tree.addNode(node, pc);
+            stack.push_back({ps.concretizePc(cur, pc), cn, {}});
+        }
+        es.frontierPeak.set(static_cast<double>(stack.size()));
+        gov.noteFrontier(stack.size());
+        tree.node(node).end = PathEnd::Branched;
+        tree.node(node).endInstr = instr_addr;
+        return std::nullopt;
+    }
+
+    /**
+     * Run one popped path segment by segment until it halts, is
+     * subsumed, branches, degrades or stops. Each segment is taken
+     * from the memo when it holds one, else simulated: from the
+     * simulator's own state when the path goes on past a commit whose
+     * state the table stored unchanged (no restore, no full sweep),
+     * else from the segment's start state.
+     */
+    void
+    runPath(FrontierEntry e)
+    {
+        EngineStats &es = engineStats();
+        const uint32_t node = e.node;
+        SegmentHooks hooks;
+        hooks.poll = [&] { return poll(node); };
+        hooks.tracePorForks = true;
+        hooks.cycleCharged = [&] {
+            ++totalCycles;
+            ++es.cycles;
+            gov.chargeCycles(1);
+            ++tree.node(node).cycles;
+        };
+        bool live = false; ///< the simulator holds e.state
+        while (true) {
+            const uint64_t c0 = totalCycles;
+            hooks.cycleBase = c0;
+            const SegmentResult *hit = nullptr;
+            if (memo) {
+                memo->prefetch(stack);
+                hit = memo->lookup(e, cycleLimit());
+            }
+            SegmentResult seg;
+            if (hit) {
+                // The segment's first governor poll; its degradation
+                // records read the instruction address off the
+                // simulator.
+                e.state.restore(ps.layout, ps.sim.state());
+                ps.sim.markAllDirty();
+                const CycleAction act = poll(node);
+                if (act == CycleAction::Stop) {
+                    seg.stopped = true;
+                    seg.end = std::move(e.state);
+                } else if (act == CycleAction::Kill) {
+                    seg.killed = true;
+                } else {
+                    seg = *hit;
+                    totalCycles += seg.cycles;
+                    es.cycles += seg.cycles;
+                    gov.chargeCycles(seg.cycles);
+                    tree.node(node).cycles += seg.cycles;
+                }
+            } else if (live) {
+                seg = ps.continueSegment(hooks);
+            } else {
+                seg = ps.runSegment(e.state, hooks);
+            }
+            bool merged = false;
+            std::optional<SymState> next =
+                apply(node, std::move(seg), c0, !hit, merged);
+            if (!next)
+                return;
+            live = !hit && !merged;
+            e = FrontierEntry{std::move(*next), node, {}};
+        }
+    }
+
+    /** Algorithm 1's outer loop: pop execution points until the
+     *  frontier drains, the budget stops the run or *-logic aborts. */
+    void
+    explore()
+    {
+        EngineStats &es = engineStats();
+        trace::Tracer &tr = trace::Tracer::instance();
+        while (!stack.empty() && !budgetHit && !starAborted) {
+            FrontierEntry e = std::move(stack.back());
+            stack.pop_back();
+            ++pathsExplored;
+            ++es.paths;
+            es.frontierDepth.sample(static_cast<double>(stack.size()));
+            es.frontierPeak.set(static_cast<double>(stack.size() + 1));
+            gov.noteFrontier(stack.size() + 1);
+            if (tr.enabled()) {
+                tr.instant("engine", "pop",
+                           trace::Args()
+                               .add("node",
+                                    static_cast<uint64_t>(e.node))
+                               .add("pc", hex16(ps.statePcBase(e.state)))
+                               .add("stack",
+                                    static_cast<uint64_t>(stack.size()))
+                               .str());
+            }
+            // Children are pushed concretized; defensive check.
+            GLIFS_ASSERT(ps.statePcXBits(e.state).empty(),
+                         "execution point with unknown PC");
+            runPath(std::move(e));
+        }
+    }
 };
 
 } // namespace
@@ -183,7 +508,8 @@ IftEngine::run(const ProgramImage &image)
 }
 
 EngineResult
-IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
+IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume,
+               const SegmentMemo *memo)
 {
     GLIFS_TRACE_SCOPE("engine", "run");
     EngineStats &es = engineStats();
@@ -206,7 +532,7 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
         effective.budgets.hardCycles = effective.maxCycles;
     }
 
-    RunCtx ctx(soc, policy, effective, image);
+    RunCtx ctx(soc, policy, effective, image, memo);
     EngineResult res;
 
     // Heartbeat and budget checks share the governor's poll clock
@@ -216,16 +542,12 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
                              effective.progressFn);
     }
 
-    // Load the binary; optionally taint the tainted code partitions in
-    // program memory (footnote 3). Program ROM is not part of the
-    // captured symbolic state, so this also re-establishes it when
-    // resuming a checkpoint.
     ctx.ps.loadProgram();
+    const uint64_t fingerprint = checkpointFingerprint(
+        image, ctx.ps.layout.slots(), soc.netlist().numNets());
 
     if (resume) {
-        const uint64_t fp = checkpointFingerprint(
-            image, ctx.ps.layout.slots(), soc.netlist().numNets());
-        if (resume->fingerprint != fp) {
+        if (resume->fingerprint != fingerprint) {
             GLIFS_RECOVERABLE(
                 "checkpoint does not match this program image and "
                 "netlist (was the firmware or SoC changed?)");
@@ -250,7 +572,7 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
         ctx.gov.noteStates(ctx.table.size());
         ctx.tree.setNodes(resume->tree);
         for (const auto &[state, node] : resume->frontier)
-            ctx.stack.emplace_back(state, node);
+            ctx.stack.push_back({state, node, {}});
     } else {
         // Algorithm 1 line 5: propagate the (untainted) reset.
         ctx.ps.setInputs(true);
@@ -262,8 +584,11 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
         SymState s0(ctx.ps.layout);
         s0.capture(ctx.ps.layout, ctx.ps.sim.state());
         uint32_t root = ctx.tree.addNode(-1, 0);
-        ctx.stack.emplace_back(std::move(s0), root);
+        ctx.stack.push_back({std::move(s0), root, {}});
     }
+
+    if (memo)
+        memo->start(fingerprint);
 
     es.setupSeconds.add(secondsSince(t0));
     if (tr.enabled())
@@ -271,289 +596,7 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
     const auto tExplore = std::chrono::steady_clock::now();
     const uint64_t traceTExplore = tr.enabled() ? tr.nowUs() : 0;
 
-    const SocProbes &prb = soc.probes();
-
-    while (!ctx.stack.empty() && !ctx.budgetHit && !ctx.starAborted) {
-        auto [state, node] = std::move(ctx.stack.back());
-        ctx.stack.pop_back();
-        ++ctx.pathsExplored;
-        ++es.paths;
-        es.frontierDepth.sample(
-            static_cast<double>(ctx.stack.size()));
-        es.frontierPeak.set(
-            static_cast<double>(ctx.stack.size() + 1));
-        ctx.gov.noteFrontier(ctx.stack.size() + 1);
-        state.restore(ctx.ps.layout, ctx.ps.sim.state());
-        // The restore rewrote every flop and memory cell behind the
-        // scheduler's back; the first settle of the path must sweep.
-        ctx.ps.sim.markAllDirty();
-        if (tr.enabled()) {
-            tr.instant("engine", "pop",
-                       trace::Args()
-                           .add("node", static_cast<uint64_t>(node))
-                           .add("pc", hex16(ctx.ps.statePcBase(state)))
-                           .add("stack",
-                                static_cast<uint64_t>(
-                                    ctx.stack.size()))
-                           .str());
-        }
-
-        // A popped state must have a concrete PC (children are pushed
-        // concretized); defensive check.
-        GLIFS_ASSERT(ctx.ps.statePcXBits(state).empty(),
-                     "execution point with unknown PC");
-
-        bool path_done = false;
-        while (!path_done) {
-            // Resource governance: poll every budget dimension before
-            // simulating the next cycle. Soft exhaustion degrades in
-            // place; hard exhaustion stops with a partial result (and
-            // a resumable snapshot of the frontier) -- never a fatal.
-            if (auto ev = ctx.gov.poll()) {
-                const uint16_t at = ctx.ps.tryBusValue(prb.instrAddrQ);
-                if (ev->severity == BudgetSeverity::Hard) {
-                    ctx.recordDegradation(DegradeLevel::PartialStop,
-                                          ev->kind, ev->severity, at,
-                                          ev->detail);
-                    ctx.budgetHit = true;
-                    ctx.tree.node(node).end = PathEnd::Budget;
-                    ctx.tree.node(node).endInstr = at;
-                    if (ctx.ps.cfg.checkpointOnStop) {
-                        // Park the in-flight path back on the frontier
-                        // so the snapshot resumes it; it will be popped
-                        // (and counted) again.
-                        SymState cur(ctx.ps.layout);
-                        cur.capture(ctx.ps.layout, ctx.ps.sim.state());
-                        ctx.stack.emplace_back(std::move(cur), node);
-                        --ctx.pathsExplored;
-                    }
-                    break;
-                }
-                if (ctx.escalate(*ev, at) ==
-                    RunCtx::Escalation::KillPath) {
-                    // *-logic the offending path: saturate to
-                    // tainted-X and terminate it conservatively.
-                    ctx.ps.starSaturate(&ctx.everTainted);
-                    ctx.tree.node(node).end = PathEnd::Degraded;
-                    ctx.tree.node(node).endInstr = at;
-                    path_done = true;
-                    break;
-                }
-            }
-
-            ctx.ps.setInputs(false);
-            ctx.ps.sim.evalComb();
-            ++ctx.totalCycles;
-            ++es.cycles;
-            ctx.gov.chargeCycles(1);
-            ++ctx.tree.node(node).cycles;
-            if (cfg.trackTaintedNets)
-                ctx.ps.accumulateTaint(ctx.everTainted);
-
-            const uint16_t instr_addr =
-                ctx.ps.busValue(prb.instrAddrQ, "instruction address");
-            ctx.ps.checker.checkCycle(ctx.ps.sim, instr_addr,
-                                      ctx.totalCycles, ctx.log);
-
-            const uint16_t fsm =
-                ctx.ps.busValue(prb.stateQ, "fsm state");
-
-            // *-logic baseline: give up at the first tainted or
-            // unknown control flow.
-            if (cfg.starLogicMode) {
-                bool pc_taint = false;
-                for (NetId n : prb.pcQ)
-                    pc_taint |= ctx.ps.sim.netValue(n).taint;
-                if (pc_taint || ctx.ps.busHasX(prb.pcD)) {
-                    auto [tainted, total] =
-                        ctx.ps.starSaturate(&ctx.everTainted);
-                    res.taintedGates = tainted;
-                    res.totalGates = total;
-                    ctx.starAborted = true;
-                    ctx.tree.node(node).end = PathEnd::StarAborted;
-                    ctx.tree.node(node).endInstr = instr_addr;
-                    break;
-                }
-            }
-
-            if (fsm == static_cast<uint16_t>(CoreState::Halt)) {
-                ctx.tree.node(node).end = PathEnd::Halted;
-                ctx.tree.node(node).endInstr = instr_addr;
-                ctx.ps.checker.checkMemoryInvariant(ctx.ps.sim,
-                                                    instr_addr,
-                                                    ctx.totalCycles,
-                                                    ctx.log);
-                path_done = true;
-                break;
-            }
-
-            // Is this cycle a PC-changing commit?
-            std::optional<Instr> instr = ctx.ps.instrAt(instr_addr);
-            bool is_commit =
-                fsm == static_cast<uint16_t>(CoreState::Call) ||
-                fsm == static_cast<uint16_t>(CoreState::Ret) ||
-                (fsm == static_cast<uint16_t>(CoreState::Exec) && instr &&
-                 (instr->op == Op::J || instr->op == Op::Br));
-
-            // Unknown watchdog expiry: fork into fired / not-fired so
-            // the POR is always simulated with a concrete reset line
-            // (preserving the Figure-7 untainting). The fired branch is
-            // pushed as a fresh execution point; the not-fired branch
-            // continues inline but is forced through the state table so
-            // the chain of forks converges.
-            Signal por = ctx.ps.sim.netValue(prb.porNet);
-            if (!por.known()) {
-                ++ctx.branchPoints;
-                ++es.branchPoints;
-                ++es.porForks;
-                GLIFS_TRACE_INSTANT_ARGS(
-                    "engine", "por_fork",
-                    add("instr", hex16(instr_addr))
-                        .add("cycle", ctx.totalCycles));
-                SymState pre(ctx.ps.layout);
-                pre.capture(ctx.ps.layout, ctx.ps.sim.state());
-
-                // Fired branch: POR forced high; PC resets to 0.
-                ctx.ps.sim.setNet(prb.porNet,
-                                  Signal{Tern::One, por.taint});
-                ctx.ps.sim.clockEdge();
-                SymState fired(ctx.ps.layout);
-                fired.capture(ctx.ps.layout, ctx.ps.sim.state());
-                GLIFS_ASSERT(ctx.ps.statePcXBits(fired).empty(),
-                             "POR branch left the PC unknown");
-                uint32_t cn = ctx.tree.addNode(
-                    node, ctx.ps.statePcBase(fired));
-                ctx.stack.emplace_back(std::move(fired), cn);
-
-                // Not-fired branch: replay the cycle with POR forced
-                // low and continue inline as a forced merge point.
-                // The fork chain is bounded by the next PC-changing
-                // commit, where the normal state-table subsumption
-                // applies.
-                pre.restore(ctx.ps.layout, ctx.ps.sim.state());
-                ctx.ps.sim.markAllDirty();
-                ctx.ps.setInputs(false);
-                ctx.ps.sim.evalComb();
-                ctx.ps.sim.setNet(prb.porNet,
-                                  Signal{Tern::Zero, por.taint});
-            }
-
-            ctx.ps.sim.clockEdge();
-
-            SymState cur(ctx.ps.layout);
-            cur.capture(ctx.ps.layout, ctx.ps.sim.state());
-            bool pc_unknown = !ctx.ps.statePcXBits(cur).empty();
-
-            if (!is_commit && !pc_unknown)
-                continue;
-
-            if (cfg.disableMerging && !pc_unknown)
-                continue;  // ablation: no subsumption, no merging
-            const uint32_t table_key =
-                (static_cast<uint32_t>(instr_addr) << 4) | fsm;
-            // Plain conservative merge: cross-path differences that
-            // could leak are all caught by the per-cycle C1-C5 checks
-            // (untainted code with a tainted PC, partition escapes,
-            // port escapes), mirroring the proof structure of
-            // Section 5.4, so the merge itself need not re-taint.
-            StateTable::Visit visit =
-                ctx.ps.cfg.disableMerging
-                    ? StateTable::Visit::New
-                    : ctx.table.visit(table_key, cur);
-            ctx.gov.noteStates(ctx.table.size());
-            if (tr.enabled()) {
-                static const char *const visitNames[] = {
-                    "new", "subsumed", "merged"};
-                tr.instant(
-                    "engine", "visit",
-                    trace::Args()
-                        .add("instr", hex16(instr_addr))
-                        .add("fsm", static_cast<uint64_t>(fsm))
-                        .add("result",
-                             visitNames[static_cast<int>(visit)])
-                        .add("cycle", ctx.totalCycles)
-                        .str());
-            }
-            if (visit == StateTable::Visit::Subsumed) {
-                ctx.tree.node(node).end = PathEnd::Subsumed;
-                ctx.tree.node(node).endInstr = instr_addr;
-                ctx.ps.checker.checkMemoryInvariant(ctx.ps.sim,
-                                                    instr_addr,
-                                                    ctx.totalCycles,
-                                                    ctx.log);
-                path_done = true;
-                break;
-            }
-
-            // visit() merged or stored; cur is now the conservative
-            // state to continue from.
-            const size_t pc_xbits = ctx.ps.statePcXBits(cur).size();
-            if (pc_xbits > 0) {
-                // Soft branch-fanout threshold: a wide unknown-PC
-                // branch escalates the ladder before enumerating.
-                if (ctx.ps.cfg.budgets.softBranchBits &&
-                    pc_xbits > ctx.ps.cfg.budgets.softBranchBits &&
-                    ctx.level == DegradeLevel::None) {
-                    BudgetEvent ev{
-                        ResourceKind::BranchFanout,
-                        BudgetSeverity::Soft,
-                        detail::concat(pc_xbits,
-                                       " unknown PC bits at ",
-                                       hex16(instr_addr))};
-                    ctx.escalate(ev, instr_addr);
-                }
-
-                bool overflow = false;
-                std::vector<uint16_t> pcs =
-                    ctx.ps.candidatePcs(instr_addr, cur, overflow);
-                if (overflow) {
-                    // Hard fanout exhaustion: unbounded indirect
-                    // control flow. Degrade the path to the *-logic
-                    // abstraction instead of aborting the analysis.
-                    ctx.recordDegradation(
-                        DegradeLevel::StarLogicPath,
-                        ResourceKind::BranchFanout,
-                        BudgetSeverity::Hard, instr_addr,
-                        detail::concat(
-                            pc_xbits, " unknown PC bits exceed ",
-                            ctx.ps.cfg.maxBranchBits,
-                            " (consider masking the target)"));
-                    ctx.ps.starSaturate(&ctx.everTainted);
-                    ctx.tree.node(node).end = PathEnd::Degraded;
-                    ctx.tree.node(node).endInstr = instr_addr;
-                    path_done = true;
-                    break;
-                }
-                ++ctx.branchPoints;
-                ++es.branchPoints;
-                ++es.pcFanouts;
-                es.fanoutWidth.sample(
-                    static_cast<double>(pcs.size()));
-                GLIFS_TRACE_INSTANT_ARGS(
-                    "engine", "branch",
-                    add("instr", hex16(instr_addr))
-                        .add("successors",
-                             static_cast<uint64_t>(pcs.size()))
-                        .add("cycle", ctx.totalCycles));
-                for (uint16_t pc : pcs) {
-                    uint32_t cn = ctx.tree.addNode(node, pc);
-                    ctx.stack.emplace_back(
-                        ctx.ps.concretizePc(cur, pc), cn);
-                }
-                es.frontierPeak.set(
-                    static_cast<double>(ctx.stack.size()));
-                ctx.gov.noteFrontier(ctx.stack.size());
-                ctx.tree.node(node).end = PathEnd::Branched;
-                ctx.tree.node(node).endInstr = instr_addr;
-                path_done = true;
-                break;
-            }
-            if (visit == StateTable::Visit::Merged) {
-                cur.restore(ctx.ps.layout, ctx.ps.sim.state());
-                ctx.ps.sim.markAllDirty();
-            }
-        }
-    }
+    ctx.explore();
 
     es.exploreSeconds.add(secondsSince(tExplore));
     if (tr.enabled()) {
@@ -577,8 +620,7 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
 
     if (ctx.budgetHit && ctx.ps.cfg.checkpointOnStop) {
         auto ckpt = std::make_shared<EngineCheckpoint>();
-        ckpt->fingerprint = checkpointFingerprint(
-            image, ctx.ps.layout.slots(), soc.netlist().numNets());
+        ckpt->fingerprint = fingerprint;
         ckpt->totalCycles = ctx.totalCycles;
         ckpt->pathsExplored = ctx.pathsExplored;
         ckpt->branchPoints = ctx.branchPoints;
@@ -596,14 +638,18 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
         ckpt->table.reserve(ctx.table.entries().size());
         for (const auto &[key, state] : ctx.table.entries())
             ckpt->table.emplace_back(key, state);
-        ckpt->frontier = ctx.stack;
+        ckpt->frontier.reserve(ctx.stack.size());
+        for (FrontierEntry &e : ctx.stack)
+            ckpt->frontier.emplace_back(std::move(e.state), e.node);
         ckpt->tree = ctx.tree.all();
         res.checkpoint = std::move(ckpt);
     }
 
     res.tree = std::move(ctx.tree);
 
-    if (!cfg.starLogicMode) {
+    if (cfg.starLogicMode) {
+        std::tie(res.taintedGates, res.totalGates) = ctx.starGates;
+    } else {
         // Fraction of tracked gates whose output ever carried taint.
         const Netlist &nl = soc.netlist();
         size_t tainted = 0;

@@ -15,6 +15,15 @@
  * into fired / not-fired branches so the power-on reset is always
  * simulated with a concrete reset line (preserving the Figure-7
  * untainting semantics).
+ *
+ * IftEngine::run is the analysis' one exploration loop: it pops an
+ * execution point, runs its path as a chain of segments through
+ * PathSim (ift/path_sim.hh, the only per-cycle loop) and applies each
+ * segment -- taint, violations, forks, then HALT, state-table visit,
+ * branch enumeration or continuation -- in one place. Set-up, resume,
+ * the degradation ladder and checkpoint assembly live here too. The
+ * parallel explorer (explore/coordinator.hh) runs this same loop with
+ * its worker fleet plugged in as a SegmentMemo.
  */
 
 #ifndef GLIFS_IFT_ENGINE_HH
@@ -35,6 +44,7 @@ namespace glifs
 {
 
 struct EngineCheckpoint;
+struct SegmentMemo;
 
 /** Engine knobs. */
 struct EngineConfig
@@ -196,9 +206,14 @@ class IftEngine
      * SoC. Throws RecoverableError if the checkpoint does not match.
      * Resuming an unmodified snapshot reproduces the uninterrupted
      * run's counters and violations exactly.
+     *
+     * @p memo, when set, is asked for a cached result before every
+     * segment is simulated (DESIGN.md §11); hits change how fast the
+     * run goes, never what it reports.
      */
     EngineResult run(const ProgramImage &image,
-                     const EngineCheckpoint *resume);
+                     const EngineCheckpoint *resume,
+                     const SegmentMemo *memo = nullptr);
 
   private:
     const Soc &soc;

@@ -259,24 +259,36 @@ PathSim::starSaturate(BitPlane *everTainted)
 SegmentResult
 PathSim::runSegment(const SymState &start, const SegmentHooks &hooks)
 {
-    SegmentResult res;
-    if (cfg.trackTaintedNets)
-        res.taintDelta = BitPlane(soc.netlist().numNets());
-    ViolationLog seglog;
-    const SocProbes &prb = soc.probes();
-
     start.restore(layout, sim.state());
     // The restore rewrote every flop and memory cell behind the
     // scheduler's back; the first settle of the segment must sweep.
     sim.markAllDirty();
     GLIFS_ASSERT(statePcXBits(start).empty(),
                  "segment start with unknown PC");
+    return continueSegment(hooks);
+}
+
+SegmentResult
+PathSim::continueSegment(const SegmentHooks &hooks)
+{
+    SegmentResult res;
+    if (cfg.trackTaintedNets)
+        res.taintDelta = BitPlane(soc.netlist().numNets());
+    // The log sees absolute cycles (its trace instants carry them);
+    // the result is rebased to segment-relative on the way out.
+    ViolationLog seglog;
+    auto finish = [&] {
+        res.violations = seglog.list();
+        for (Violation &v : res.violations)
+            v.firstCycle -= hooks.cycleBase;
+        return std::move(res);
+    };
+    const SocProbes &prb = soc.probes();
 
     while (true) {
-        // The serial loop's governor-poll point: before the cycle's
-        // inputs are driven. Workers run hook-free; the coordinator's
-        // inline execution polls its governor here, preserving the
-        // serial engine's cycle-exact budget stops.
+        // The governor-poll point: before the cycle's inputs are
+        // driven. Workers run hook-free; the engine polls its
+        // governor here for cycle-exact budget stops.
         if (hooks.poll) {
             CycleAction act = hooks.poll();
             if (act == CycleAction::Stop) {
@@ -285,14 +297,12 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks)
                 cur.capture(layout, sim.state());
                 res.end = std::move(cur);
                 res.endInstr = tryBusValue(prb.instrAddrQ);
-                res.violations = seglog.list();
-                return res;
+                return finish();
             }
             if (act == CycleAction::Kill) {
                 res.killed = true;
                 res.endInstr = tryBusValue(prb.instrAddrQ);
-                res.violations = seglog.list();
-                return res;
+                return finish();
             }
         }
 
@@ -304,20 +314,33 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks)
         if (cfg.trackTaintedNets)
             accumulateTaint(res.taintDelta);
 
+        const uint64_t cycle = hooks.cycleBase + res.cycles;
         const uint16_t instr_addr =
             busValue(prb.instrAddrQ, "instruction address");
-        checker.checkCycle(sim, instr_addr, res.cycles, seglog);
+        checker.checkCycle(sim, instr_addr, cycle, seglog);
 
         const uint16_t fsm = busValue(prb.stateQ, "fsm state");
+
+        // *-logic baseline: give up at the first tainted or unknown
+        // control flow.
+        if (cfg.starLogicMode) {
+            bool pc_taint = false;
+            for (NetId n : prb.pcQ)
+                pc_taint |= sim.netValue(n).taint;
+            if (pc_taint || busHasX(prb.pcD)) {
+                res.starAborted = true;
+                res.endInstr = instr_addr;
+                res.endFsm = fsm;
+                return finish();
+            }
+        }
 
         if (fsm == static_cast<uint16_t>(CoreState::Halt)) {
             res.halted = true;
             res.endInstr = instr_addr;
             res.endFsm = fsm;
-            checker.checkMemoryInvariant(sim, instr_addr, res.cycles,
-                                         seglog);
-            res.violations = seglog.list();
-            return res;
+            checker.checkMemoryInvariant(sim, instr_addr, cycle, seglog);
+            return finish();
         }
 
         // Is this cycle a PC-changing commit?
@@ -336,10 +359,6 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks)
         // of forks converges.
         Signal por = sim.netValue(prb.porNet);
         if (!por.known()) {
-            GLIFS_TRACE_INSTANT_ARGS(
-                "engine", "por_fork",
-                add("instr", hex16(instr_addr))
-                    .add("seg_cycle", res.cycles));
             SymState pre(layout);
             pre.capture(layout, sim.state());
 
@@ -351,7 +370,13 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks)
             GLIFS_ASSERT(statePcXBits(fired).empty(),
                          "POR branch left the PC unknown");
             const uint16_t startPc = statePcBase(fired);
-            res.porForks.push_back({std::move(fired), startPc});
+            if (hooks.tracePorForks) {
+                GLIFS_TRACE_INSTANT_ARGS(
+                    "engine", "por_fork",
+                    add("instr", hex16(instr_addr)).add("cycle", cycle));
+            }
+            res.porForks.push_back(
+                {std::move(fired), startPc, instr_addr, res.cycles});
 
             // Not-fired branch: replay the cycle with POR forced
             // low and continue inline as a forced merge point.
@@ -380,8 +405,7 @@ PathSim::runSegment(const SymState &start, const SegmentHooks &hooks)
         res.endInstr = instr_addr;
         res.endFsm = fsm;
         res.pcUnknown = pc_unknown;
-        res.violations = seglog.list();
-        return res;
+        return finish();
     }
 }
 

@@ -1,20 +1,19 @@
 /**
  * @file
- * Per-path symbolic simulation shared by the serial engine
- * (ift/engine.cc) and the parallel exploration workers
- * (explore/worker.cc).
+ * Per-path symbolic simulation: the one per-cycle loop of the analysis.
  *
  * A *segment* is the simulation of one execution point from its
- * concrete-PC start state up to the next PC-changing commit, HALT, or
- * hook-requested stop -- exactly the stretch the serial loop runs
- * between a frontier pop and the next state-table visit. Segments are
- * pure functions of the start state: every simulated value, violation
- * and POR fork depends only on the netlist, policy, program image and
- * the start state, never on the engine's global budgets or ladder
- * position (those only affect what the *caller* does with the segment
- * end). That purity is what lets worker processes execute segments
- * speculatively while the coordinator applies them in strict serial
- * order (DESIGN.md §11).
+ * concrete-PC start state up to the next PC-changing commit, HALT,
+ * *-logic abort, or hook-requested stop. The serial engine
+ * (ift/engine.cc) runs every path as a chain of segments and applies
+ * each one's effects; the exploration workers (explore/worker.cc) run
+ * the same segments speculatively. Segments are pure functions of the
+ * start state: every simulated value, violation and POR fork depends
+ * only on the netlist, policy, program image and the start state,
+ * never on the engine's global budgets or ladder position (those only
+ * affect what the *caller* does with the segment end). That purity is
+ * what lets a worker's result stand in for a segment the engine would
+ * otherwise simulate (SegmentMemo, DESIGN.md §11).
  */
 
 #ifndef GLIFS_IFT_PATH_SIM_HH
@@ -23,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -42,6 +42,8 @@ struct SegmentPorFork
 {
     SymState fired;
     uint16_t startPc = 0;
+    uint16_t instr = 0;  ///< instruction executing at the fork
+    uint64_t cycle = 0;  ///< segment-relative cycle of the fork
 };
 
 /** What one segment simulated, in segment-relative terms. */
@@ -55,6 +57,7 @@ struct SegmentResult
     bool pcUnknown = false;  ///< end state has unknown PC bits
     bool stopped = false;    ///< hook Stop: end is the in-flight state
     bool killed = false;     ///< hook Kill: caller *-logics the path
+    bool starAborted = false; ///< *-logic mode met a tainted/unknown PC
 
     /** Violations observed in the segment, aggregated per (kind,
      *  instruction) with firstCycle *relative* to the segment start
@@ -78,15 +81,60 @@ enum class CycleAction : uint8_t
 };
 
 /**
- * Optional per-cycle callbacks. `poll` runs at the serial loop's
- * governor-poll point (before the cycle's inputs are driven);
- * `cycleCharged` runs right after the combinational settle, where the
- * serial loop charges its cycle counters. Workers run hook-free.
+ * Optional per-cycle callbacks. `poll` runs at the governor-poll point
+ * (before the cycle's inputs are driven); `cycleCharged` runs right
+ * after the combinational settle, where the engine charges its cycle
+ * counters. Workers run hook-free.
  */
 struct SegmentHooks
 {
     std::function<CycleAction()> poll;
     std::function<void()> cycleCharged;
+
+    /** Absolute cycle count before the segment. Only trace arguments
+     *  read it; the SegmentResult stays segment-relative. */
+    uint64_t cycleBase = 0;
+
+    /** Emit an `engine/por_fork` instant at each POR fork as it
+     *  happens, on the cycleBase clock. The engine sets it for the
+     *  segments it simulates; a worker's forks are traced by the
+     *  engine when it applies the cached result. */
+    bool tracePorForks = false;
+};
+
+/** One execution point on the engine's LIFO frontier. */
+struct FrontierEntry
+{
+    SymState state;
+    uint32_t node = 0;   ///< execution-tree node of the path
+    std::string memoKey; ///< SegmentMemo's key of `state`, set lazily
+};
+
+/**
+ * A cache of segment results, consulted by the engine at the start of
+ * every segment (the worker fleet of explore/coordinator.cc fills it).
+ * A hit is applied exactly like the same segment simulated inline, so
+ * the run's verdict, violations and engine counters do not depend on
+ * whether or when the cache answers. Function hooks, in the
+ * SegmentHooks idiom, keep src/ift independent of src/explore; all
+ * three must be set.
+ */
+struct SegmentMemo
+{
+    /** Once per run, after set-up and resume validation and before the
+     *  first prefetch, with the run's checkpointFingerprint(). */
+    std::function<void(uint64_t fingerprint)> start;
+
+    /** Before every segment, with the frontier as it stands (the
+     *  segment's own start already popped off). May fill memoKey. */
+    std::function<void(std::vector<FrontierEntry> &frontier)> prefetch;
+
+    /** The cached result of the segment starting at @p start.state,
+     *  if one exists with fewer than @p cycleLimit cycles; else
+     *  nullptr. May fill start.memoKey. */
+    std::function<const SegmentResult *(FrontierEntry &start,
+                                        uint64_t cycleLimit)>
+        lookup;
 };
 
 /**
@@ -166,15 +214,24 @@ class PathSim
     std::pair<size_t, size_t> starSaturate(BitPlane *everTainted);
 
     /**
-     * Run one segment from @p start: restore it, then simulate cycle
-     * by cycle exactly like the serial inner loop until the next
-     * PC-changing commit / unknown PC / HALT, or until a hook says
-     * Stop or Kill. The simulator is left in the segment's final
-     * in-flight state (Kill callers star-saturate it; Stop callers
-     * already got it captured in SegmentResult::end).
+     * Run one segment from @p start: restore it into the simulator,
+     * then continueSegment(). Frontier pops, continuations after a
+     * Merged visit and the exploration workers start here.
      */
     SegmentResult runSegment(const SymState &start,
                              const SegmentHooks &hooks = {});
+
+    /**
+     * Run one segment from the state the simulator already holds: the
+     * end of the previous segment, when the engine continues a path
+     * past a commit whose visit stored its state unchanged. Simulates
+     * cycle by cycle until the next PC-changing commit / unknown PC /
+     * HALT / *-logic abort (EngineConfig::starLogicMode), or until a
+     * hook says Stop or Kill. The simulator is left in the segment's
+     * final state (Kill callers star-saturate it; Stop callers get it
+     * captured in SegmentResult::end).
+     */
+    SegmentResult continueSegment(const SegmentHooks &hooks = {});
 };
 
 } // namespace glifs

@@ -36,6 +36,7 @@
 #include "batch/runner.hh"
 #include "batch/scheduler.hh"
 #include "workloads/workload.hh"
+#include "test_tmpdir.hh"
 
 #ifndef GLIFS_AUDIT_BIN
 #define GLIFS_AUDIT_BIN "glifs_audit"
@@ -51,17 +52,7 @@ namespace
 
 using namespace glifs::batch;
 
-std::string
-tempDir(const std::string &name)
-{
-    // Wipe any residue from a previous run: cache/checkpoint state
-    // surviving in /tmp would turn first-run cache-miss assertions
-    // into spurious hits.
-    std::string dir = ::testing::TempDir() + "batch_" + name;
-    std::filesystem::remove_all(dir);
-    ::mkdir(dir.c_str(), 0755);
-    return dir;
-}
+using testutil::tempDir;
 
 void
 writeFile(const std::string &path, const std::string &content)

@@ -14,8 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/inotify.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "batch/manifest.hh"
+#include "test_tmpdir.hh"
 
 #ifndef GLIFS_AUDIT_BIN
 #define GLIFS_AUDIT_BIN "glifs_audit"
@@ -36,14 +39,7 @@ namespace glifs
 namespace
 {
 
-std::string
-tempDir(const std::string &name)
-{
-    std::string dir = ::testing::TempDir() + "explore_" + name;
-    std::filesystem::remove_all(dir);
-    ::mkdir(dir.c_str(), 0755);
-    return dir;
-}
+using testutil::tempDir;
 
 std::string
 readFile(const std::string &path)
@@ -227,6 +223,53 @@ TEST(ExploreParity, JobsOneIsTheSerialEngine)
     j1.exitCode = runCmd(cmd.str());
     j1.report = readFile(dir + "/report.j1.json");
     expectIdenticalRuns(flagless, j1, "rle");
+    std::filesystem::remove_all(dir);
+}
+
+/** The fleet keeps its work units and segment results in a scratch
+ *  directory under $TMPDIR, removed when the audit exits. */
+TEST(ExploreParity, ScratchDirLivesUnderTmpdir)
+{
+    const std::string dir = tempDir("tmpdir");
+    const std::string tmp = dir + "/tmp";
+    ASSERT_EQ(::mkdir(tmp.c_str(), 0755), 0);
+    const std::string asmFile = materializeWorkload(dir, "rle");
+
+    // Record every entry made in or removed from the fresh TMPDIR.
+    int ino = ::inotify_init1(IN_NONBLOCK | IN_CLOEXEC);
+    ASSERT_GE(ino, 0);
+    ASSERT_GE(::inotify_add_watch(ino, tmp.c_str(), IN_CREATE | IN_DELETE),
+              0);
+
+    std::ostringstream cmd;
+    cmd << "TMPDIR='" << tmp << "' " << GLIFS_AUDIT_BIN << " " << asmFile
+        << " --explore-jobs 2 --stats-json " << dir
+        << "/report.json > /dev/null 2>&1";
+    const int code = runCmd(cmd.str());
+    EXPECT_TRUE(code == 0 || code == 1) << code;
+    EXPECT_FALSE(readFile(dir + "/report.json").empty());
+
+    std::vector<std::string> created;
+    std::vector<std::string> removed;
+    alignas(struct inotify_event) char buf[4096];
+    ssize_t n;
+    while ((n = ::read(ino, buf, sizeof(buf))) > 0) {
+        for (char *at = buf; at < buf + n;) {
+            const auto *ev = reinterpret_cast<struct inotify_event *>(at);
+            const std::string name = ev->len ? ev->name : "";
+            if ((ev->mask & IN_CREATE) && (ev->mask & IN_ISDIR))
+                created.push_back(name);
+            if ((ev->mask & IN_DELETE) && (ev->mask & IN_ISDIR))
+                removed.push_back(name);
+            at += sizeof(struct inotify_event) + ev->len;
+        }
+    }
+    ::close(ino);
+
+    ASSERT_EQ(created.size(), 1u);
+    EXPECT_EQ(created[0].rfind("glifs-explore-", 0), 0u) << created[0];
+    EXPECT_EQ(removed, created);
+    EXPECT_TRUE(std::filesystem::is_empty(tmp));
     std::filesystem::remove_all(dir);
 }
 

@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "test_tmpdir.hh"
+
 #ifndef GLIFS_AUDIT_BIN
 #define GLIFS_AUDIT_BIN "glifs_audit"
 #endif
@@ -36,14 +38,7 @@ namespace glifs
 namespace
 {
 
-std::string
-tempDir(const std::string &name)
-{
-    std::string dir = ::testing::TempDir() + "faultinject_" + name;
-    std::filesystem::remove_all(dir);
-    ::mkdir(dir.c_str(), 0755);
-    return dir;
-}
+using testutil::tempDir;
 
 std::string
 readFile(const std::string &path)
@@ -154,11 +149,7 @@ class FaultInjectTest : public ::testing::Test
         static std::string cached;
         if (!cached.empty())
             return cached;
-        // Per-process directory: gtest_discover_tests runs each case
-        // as its own process, so concurrent cases under `ctest -j`
-        // must not share (and remove_all) one baseline dir.
-        std::string dir =
-            tempDir("baseline_" + std::to_string(::getpid()));
+        std::string dir = tempDir("baseline");
         std::string mf = dir + "/fleet.manifest";
         std::ofstream(mf) << kManifest;
         RunResult ref = runBatchCmd(dir, mf, "", "");

@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "assembler/assembler.hh"
@@ -21,6 +24,8 @@
 #include "ift/policy_file.hh"
 #include "soc/soc.hh"
 #include "workloads/workload.hh"
+#include "test_fixtures.hh"
+#include "test_tmpdir.hh"
 
 namespace glifs
 {
@@ -376,68 +381,150 @@ const char *kViolationProgram =
 class CheckpointTest : public GovernedEngineTest
 {
   protected:
+    /** @p name inside a fresh per-process scratch directory. */
     std::string
     tempPath(const std::string &name) const
     {
-        return ::testing::TempDir() + "governor_" + name;
+        return testutil::tempDir("governor") + "/" + name;
     }
 };
 
+/**
+ * Visit results ("new" / "merged") by the cycle of every commit the
+ * traced run continued a path past: visited without being subsumed
+ * and without a branch. A hard stop at that cycle lands on the first
+ * governor poll of the continuation.
+ */
+std::map<uint64_t, std::string>
+continuationCycles(const std::vector<trace::Event> &events)
+{
+    std::map<uint64_t, std::string> visits;
+    std::set<uint64_t> branches;
+    for (const trace::Event &e : events) {
+        const std::string name = e.name;
+        if (name == "visit") {
+            visits[testutil::traceArgNum(e.args, "cycle")] =
+                testutil::traceArgStr(e.args, "result");
+        } else if (name == "branch") {
+            branches.insert(testutil::traceArgNum(e.args, "cycle"));
+        }
+    }
+    std::map<uint64_t, std::string> out;
+    for (const auto &[cycle, result] : visits) {
+        if (result != "subsumed" && !branches.count(cycle))
+            out[cycle] = result;
+    }
+    return out;
+}
+
 TEST_F(CheckpointTest, InterruptedRunResumesToIdenticalResult)
 {
-    Policy p = benchmarkPolicy(0x10, 0x7F);
-    ProgramImage img = assembleSource(kViolationProgram);
+    struct Case
+    {
+        const char *name;
+        const char *source;
+        Policy policy;
+    };
+    const Case cases[] = {
+        {"violation", kViolationProgram, benchmarkPolicy(0x10, 0x7F)},
+        {"watchdog", testutil::kFigure8WatchdogProgram,
+         benchmarkPolicy(0x20, 0x7F)},
+    };
+    std::map<std::string, size_t> continuationStops;
+    std::map<Verdict, size_t> verdictsSeen;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        ProgramImage img = assembleSource(c.source);
 
-    // Reference: the uninterrupted run.
-    EngineResult ref = IftEngine(*soc, p, EngineConfig{}).run(img);
-    ASSERT_TRUE(ref.completed);
-    ASSERT_FALSE(ref.violations.empty());
-    ASSERT_GT(ref.cyclesSimulated, 4u);
+        // Reference: the uninterrupted run, traced to find where its
+        // paths continue past a commit.
+        trace::Tracer &tr = trace::Tracer::instance();
+        tr.enable(1 << 14);
+        EngineResult ref =
+            IftEngine(*soc, c.policy, EngineConfig{}).run(img);
+        const std::map<uint64_t, std::string> continuations =
+            continuationCycles(tr.events());
+        tr.disable();
+        ASSERT_TRUE(ref.completed);
+        ASSERT_FALSE(ref.violations.empty());
+        ASSERT_GT(ref.cyclesSimulated, 4u);
 
-    // Interrupt the same analysis halfway through with a hard cycle
-    // budget, snapshotting the frontier.
-    EngineConfig half;
-    half.maxCycles = ref.cyclesSimulated / 2;
-    half.checkpointOnStop = true;
-    EngineResult partial = IftEngine(*soc, p, half).run(img);
-    ASSERT_FALSE(partial.completed);
-    EXPECT_EQ(partial.verdict(), Verdict::UnknownDegraded);
-    ASSERT_NE(partial.checkpoint, nullptr);
+        // Interrupt the same analysis at every cycle with a hard cycle
+        // budget, snapshotting the frontier.
+        for (uint64_t stop = 1; stop < ref.cyclesSimulated; ++stop) {
+            SCOPED_TRACE(testing::Message() << "stop at cycle " << stop);
+            auto it = continuations.find(stop);
+            if (it != continuations.end())
+                ++continuationStops[it->second];
 
-    // Serialize, reload ("kill the process"), and resume.
-    const std::string path = tempPath("resume.ckpt");
-    partial.checkpoint->save(path);
-    EngineCheckpoint loaded = EngineCheckpoint::load(path);
-    EXPECT_EQ(loaded.totalCycles, partial.cyclesSimulated);
+            EngineConfig cut;
+            cut.maxCycles = stop;
+            cut.checkpointOnStop = true;
+            EngineResult partial = IftEngine(*soc, c.policy, cut).run(img);
+            ASSERT_FALSE(partial.completed);
+            // An incomplete run reports Violations exactly when the
+            // cut lies at or after the first cycle of an uncontained
+            // (non-TaintedControlFlow) violation of the reference run,
+            // and UnknownDegraded otherwise.
+            bool uncontained = false;
+            for (const Violation &v : ref.violations) {
+                uncontained |= v.kind != ViolationKind::TaintedControlFlow &&
+                               v.firstCycle <= stop;
+            }
+            const Verdict expected =
+                uncontained ? Verdict::Violations : Verdict::UnknownDegraded;
+            EXPECT_EQ(partial.verdict(), expected);
+            ++verdictsSeen[expected];
+            ASSERT_NE(partial.checkpoint, nullptr);
 
-    EngineResult resumed =
-        IftEngine(*soc, p, EngineConfig{}).run(img, &loaded);
+            // Serialize, reload ("kill the process"), and resume.
+            const std::string path = tempPath("resume.ckpt");
+            partial.checkpoint->save(path);
+            EngineCheckpoint loaded = EngineCheckpoint::load(path);
+            EXPECT_EQ(loaded.totalCycles, partial.cyclesSimulated);
 
-    // The resumed run must reproduce the uninterrupted run
-    // bit-for-bit on counters, violations and verdict.
-    EXPECT_TRUE(resumed.completed);
-    EXPECT_EQ(resumed.cyclesSimulated, ref.cyclesSimulated);
-    EXPECT_EQ(resumed.pathsExplored, ref.pathsExplored);
-    EXPECT_EQ(resumed.branchPoints, ref.branchPoints);
-    EXPECT_EQ(resumed.merges, ref.merges);
-    EXPECT_EQ(resumed.subsumptions, ref.subsumptions);
-    EXPECT_EQ(resumed.statesTracked, ref.statesTracked);
-    EXPECT_EQ(resumed.taintedGates, ref.taintedGates);
-    EXPECT_EQ(resumed.verdict(), ref.verdict());
+            EngineResult resumed =
+                IftEngine(*soc, c.policy, EngineConfig{}).run(img, &loaded);
 
-    ASSERT_EQ(resumed.violations.size(), ref.violations.size());
-    for (size_t i = 0; i < ref.violations.size(); ++i) {
-        EXPECT_EQ(resumed.violations[i].kind, ref.violations[i].kind);
-        EXPECT_EQ(resumed.violations[i].instrAddr,
-                  ref.violations[i].instrAddr);
-        EXPECT_EQ(resumed.violations[i].count, ref.violations[i].count);
-        EXPECT_EQ(resumed.violations[i].firstCycle,
-                  ref.violations[i].firstCycle);
+            // The resumed run must reproduce the uninterrupted run
+            // bit-for-bit on counters, violations and verdict.
+            EXPECT_TRUE(resumed.completed);
+            EXPECT_EQ(resumed.cyclesSimulated, ref.cyclesSimulated);
+            EXPECT_EQ(resumed.pathsExplored, ref.pathsExplored);
+            EXPECT_EQ(resumed.branchPoints, ref.branchPoints);
+            EXPECT_EQ(resumed.merges, ref.merges);
+            EXPECT_EQ(resumed.subsumptions, ref.subsumptions);
+            EXPECT_EQ(resumed.statesTracked, ref.statesTracked);
+            EXPECT_EQ(resumed.taintedGates, ref.taintedGates);
+            EXPECT_EQ(resumed.verdict(), ref.verdict());
+
+            ASSERT_EQ(resumed.violations.size(), ref.violations.size());
+            for (size_t i = 0; i < ref.violations.size(); ++i) {
+                EXPECT_EQ(resumed.violations[i].kind,
+                          ref.violations[i].kind);
+                EXPECT_EQ(resumed.violations[i].instrAddr,
+                          ref.violations[i].instrAddr);
+                EXPECT_EQ(resumed.violations[i].count,
+                          ref.violations[i].count);
+                EXPECT_EQ(resumed.violations[i].firstCycle,
+                          ref.violations[i].firstCycle);
+            }
+
+            // Resumed to completion, the interruption cost no
+            // coverage: no PartialStop record survives, so the
+            // verdicts really are equal.
+            EXPECT_FALSE(resumed.degradedUnsound());
+        }
     }
-
-    // Resumed to completion, the interruption cost no coverage: no
-    // PartialStop record survives, so the verdicts really are equal.
-    EXPECT_FALSE(resumed.degradedUnsound());
+    // The stops covered the first poll of a path continued from the
+    // simulator's own state (after a New visit) and of one continued
+    // from a restored, merged state.
+    EXPECT_GT(continuationStops["new"], 0u);
+    EXPECT_GT(continuationStops["merged"], 0u);
+    // Cuts landed both before and after the first uncontained
+    // violation (the old half-way cut is one of the former).
+    EXPECT_GT(verdictsSeen[Verdict::UnknownDegraded], 0u);
+    EXPECT_GT(verdictsSeen[Verdict::Violations], 0u);
 }
 
 TEST_F(CheckpointTest, RejectsGarbageFile)

@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "assembler/assembler.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
 #include "ift/engine.hh"
 #include "ift/rootcause.hh"
 #include "soc/soc.hh"
+#include "test_fixtures.hh"
 
 namespace glifs
 {
@@ -229,23 +234,7 @@ TEST_F(IftTest, Figure8WatchdogResetUntaintsControlFlow)
     // tainted. The watchdog POR must recover an untainted PC, and the
     // untainted code after reset must never see a tainted PC.
     Policy p = benchmarkPolicy(0x20, 0x7F);
-    EngineResult r = analyze(
-        // Untainted system partition at the reset vector.
-        "start:  mov &0x0A00, r4\n"     // pass flag (untainted RAM)
-        "        cmp #1, r4\n"
-        "        jz done\n"
-        "        mov #1, &0x0A00\n"
-        "        mov #0x0000, &0x0010\n" // arm watchdog, 64 cycles
-        "        jmp task\n"
-        "done:   halt\n"
-        "        .org 0x20\n"
-        // Tainted task: control flow depends on a tainted input.
-        "task:   mov &0x0000, r4\n"
-        "        tst r4\n"
-        "        jz t1\n"
-        "        nop\n"
-        "t1:     jmp t1\n",
-        p);
+    EngineResult r = analyze(testutil::kFigure8WatchdogProgram, p);
     EXPECT_TRUE(r.completed);
     // The tainted task's own control flow taints (expected, fixable)...
     EXPECT_TRUE(has(r, ViolationKind::TaintedControlFlow));
@@ -253,6 +242,15 @@ TEST_F(IftTest, Figure8WatchdogResetUntaintsControlFlow)
     // executes with a tainted PC.
     EXPECT_FALSE(has(r, ViolationKind::WatchdogTainted));
     EXPECT_FALSE(has(r, ViolationKind::UntaintedCodeTaintedPc));
+
+    // The exploration itself is pinned: the `t1` loop converges by
+    // merging, each merged round going on from the widened state, and
+    // the watchdog expiry forks off the reset path.
+    EXPECT_EQ(r.cyclesSimulated, 64u);
+    EXPECT_EQ(r.pathsExplored, 7u);
+    EXPECT_EQ(r.branchPoints, 4u);
+    EXPECT_EQ(r.merges, 3u);
+    EXPECT_EQ(r.subsumptions, 4u);
 }
 
 TEST_F(IftTest, TaintedTaskWritingWatchdogIsFlagged)
@@ -422,6 +420,39 @@ TEST_F(IftTest, TracedRunEmitsEngineSpans)
     // The trace document is loadable Chrome trace_event JSON.
     std::string json = tr.json();
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+
+    // Watchdog-expiry forks (the Figure 8 program) carry the
+    // instruction and the run's absolute cycle: each fork lies between
+    // the visits before and after it on the run's cycle clock.
+    tr.enable(1 << 12);
+    r = analyze(testutil::kFigure8WatchdogProgram,
+                benchmarkPolicy(0x20, 0x7F));
+    EXPECT_TRUE(r.completed);
+    std::vector<std::pair<std::string, uint64_t>> timeline;
+    for (const trace::Event &e : tr.events()) {
+        std::string name = e.name;
+        const uint64_t cycle = testutil::traceArgNum(e.args, "cycle");
+        if (name == "visit" || name == "por_fork")
+            timeline.emplace_back(name, cycle);
+        if (name == "por_fork") {
+            EXPECT_EQ(testutil::traceArgStr(e.args, "instr").rfind("0x", 0),
+                      0u)
+                << e.args;
+            EXPECT_NE(cycle, ~0ull) << e.args;
+        }
+    }
+    size_t forks = 0;
+    for (size_t i = 0; i < timeline.size(); ++i) {
+        if (timeline[i].first != "por_fork")
+            continue;
+        ++forks;
+        ASSERT_GT(i, 0u);
+        ASSERT_LT(i + 1, timeline.size());
+        EXPECT_GT(timeline[i].second, timeline[i - 1].second);
+        EXPECT_LE(timeline[i].second, timeline[i + 1].second);
+        EXPECT_LE(timeline[i].second, r.cyclesSimulated);
+    }
+    EXPECT_GT(forks, 0u);
     tr.disable();
 }
 

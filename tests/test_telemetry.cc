@@ -36,6 +36,7 @@
 #include "base/stats.hh"
 #include "base/telemetry.hh"
 #include "batch/manifest.hh"
+#include "test_tmpdir.hh"
 
 #ifndef GLIFS_AUDIT_BIN
 #define GLIFS_AUDIT_BIN "glifs_audit"
@@ -54,14 +55,7 @@ using telemetry::EventType;
 using telemetry::Reader;
 using telemetry::Writer;
 
-std::string
-tempDir(const std::string &name)
-{
-    std::string dir = ::testing::TempDir() + "telemetry_" + name;
-    std::filesystem::remove_all(dir);
-    ::mkdir(dir.c_str(), 0755);
-    return dir;
-}
+using testutil::tempDir;
 
 std::string
 readFile(const std::string &path)

@@ -36,9 +36,9 @@
  *   --no-retry         disable the *-logic retry after degradation
  *
  * Parallel exploration (see DESIGN.md, "Parallel exploration"):
- *   --explore-jobs N   explore with N processes: a coordinator that
- *                      owns the authoritative serial frontier plus
- *                      N-1 speculative segment workers. The verdict,
+ *   --explore-jobs N   explore with N processes: the serial engine
+ *                      plus N-1 workers that run its segments ahead
+ *                      of it into a digest-keyed memo. The verdict,
  *                      violations and counters are bit-identical to
  *                      the serial engine for every N; N=1 *is* the
  *                      serial engine
