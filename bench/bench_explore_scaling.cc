@@ -25,6 +25,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -93,10 +94,12 @@ materializeWorkload(const std::string &dir)
 int
 runBench(const std::string &auditBin, const std::string &jsonPath)
 {
-    const std::string dir =
-        "/tmp/glifs_bench_explore_" + std::to_string(::getpid());
-    GLIFS_ASSERT(std::system(("mkdir -p " + dir).c_str()) == 0,
-                 "cannot create ", dir);
+    const char *tmpdir = std::getenv("TMPDIR");
+    const std::string tmp = tmpdir && *tmpdir ? tmpdir : "/tmp";
+    std::string dirTemplate = tmp + "/glifs_bench_explore_XXXXXX";
+    GLIFS_ASSERT(::mkdtemp(dirTemplate.data()) != nullptr,
+                 "cannot create a scratch dir in ", tmp);
+    const std::string dir = dirTemplate;
     const std::string asmFile = materializeWorkload(dir);
     const double cpus = static_cast<double>(
         ::sysconf(_SC_NPROCESSORS_ONLN));
@@ -154,7 +157,7 @@ runBench(const std::string &auditBin, const std::string &jsonPath)
 
     if (!jsonPath.empty())
         benchjson::writeReport(jsonPath, "explore_scaling", rows);
-    std::system(("rm -rf " + dir).c_str());
+    std::filesystem::remove_all(dir);
     return 0;
 }
 

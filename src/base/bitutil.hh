@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/logging.hh"
+
 namespace glifs
 {
 
@@ -56,8 +58,23 @@ class BitPlane
     void resize(size_t nbits);
     size_t size() const { return numBits; }
 
-    bool get(size_t i) const;
-    void set(size_t i, bool b);
+    bool
+    get(size_t i) const
+    {
+        GLIFS_ASSERT(i < numBits, "BitPlane index ", i, " >= ", numBits);
+        return (data[i / 64] >> (i % 64)) & 1ULL;
+    }
+
+    void
+    set(size_t i, bool b)
+    {
+        GLIFS_ASSERT(i < numBits, "BitPlane index ", i, " >= ", numBits);
+        if (b)
+            data[i / 64] |= (1ULL << (i % 64));
+        else
+            data[i / 64] &= ~(1ULL << (i % 64));
+    }
+
     void clearAll();
     void setAll();
 

@@ -176,15 +176,19 @@ struct RunCtx
      * at tree node @p node: poll every budget dimension. Soft
      * exhaustion degrades in place; hard exhaustion stops the run
      * with a partial result (and a resumable snapshot of the
-     * frontier) -- never a fatal.
+     * frontier) -- never a fatal. A memo hit polls with its segment's
+     * @p start state, which the simulator does not hold; the
+     * degradation records then read the instruction address from it.
      */
     CycleAction
-    poll(uint32_t node)
+    poll(uint32_t node, const SymState *start = nullptr)
     {
         auto ev = gov.poll();
         if (!ev)
             return CycleAction::Continue;
-        const uint16_t at = ps.tryBusValue(ps.soc.probes().instrAddrQ);
+        const uint16_t at =
+            start ? ps.stateInstrAddr(*start)
+                  : ps.tryBusValue(ps.soc.probes().instrAddrQ);
         if (ev->severity == BudgetSeverity::Hard) {
             recordDegradation(DegradeLevel::PartialStop, ev->kind,
                               ev->severity, at, ev->detail);
@@ -427,12 +431,9 @@ struct RunCtx
             }
             SegmentResult seg;
             if (hit) {
-                // The segment's first governor poll; its degradation
-                // records read the instruction address off the
-                // simulator.
-                e.state.restore(ps.layout, ps.sim.state());
-                ps.sim.markAllDirty();
-                const CycleAction act = poll(node);
+                // The segment's first governor poll, without loading
+                // its start state into the simulator.
+                const CycleAction act = poll(node, &e.state);
                 if (act == CycleAction::Stop) {
                     seg.stopped = true;
                     seg.end = std::move(e.state);

@@ -15,13 +15,16 @@ PathSim::PathSim(const Soc &s, const Policy &p, const EngineConfig &c,
     : soc(s), policy(p), cfg(c), image(img), sim(s.netlist()),
       layout(s.netlist()), checker(s, p)
 {
-    // Slot indices of the PC flip-flops within the layout.
+    // Slot indices of the PC and instruction-address flip-flops
+    // within the layout.
     const Netlist &nl = s.netlist();
-    std::unordered_map<GateId, size_t> slot_of;
-    for (size_t i = 0; i < nl.dffs().size(); ++i)
-        slot_of[nl.dffs()[i]] = i;
+    std::unordered_map<NetId, size_t> slot_of;
+    for (size_t i = 0; i < layout.dffNets().size(); ++i)
+        slot_of[layout.dffNets()[i]] = layout.dffSlot(i);
     for (GateId g : s.probes().pcFlops)
-        pcSlots.push_back(slot_of.at(g));
+        pcSlots.push_back(slot_of.at(nl.gate(g).out));
+    for (NetId n : s.probes().instrAddrQ)
+        instrAddrSlots.push_back(slot_of.at(n));
 }
 
 void
@@ -125,6 +128,31 @@ PathSim::statePcTainted(const SymState &s) const
             return true;
     }
     return false;
+}
+
+bool
+PathSim::simPcUnknown() const
+{
+    // Flop slots are numbered like layout.dffNets().
+    for (size_t slot : pcSlots) {
+        if (!sim.netValue(layout.dffNets()[slot]).known())
+            return true;
+    }
+    return false;
+}
+
+uint16_t
+PathSim::stateInstrAddr(const SymState &s) const
+{
+    uint16_t v = 0;
+    for (size_t i = 0; i < instrAddrSlots.size(); ++i) {
+        Signal sig = s.slot(instrAddrSlots[i]);
+        if (!sig.known())
+            return 0xFFFF;
+        if (sig.asBool())
+            v |= static_cast<uint16_t>(1u << i);
+    }
+    return v;
 }
 
 uint16_t
@@ -293,9 +321,7 @@ PathSim::continueSegment(const SegmentHooks &hooks)
             CycleAction act = hooks.poll();
             if (act == CycleAction::Stop) {
                 res.stopped = true;
-                SymState cur(layout);
-                cur.capture(layout, sim.state());
-                res.end = std::move(cur);
+                res.end.capture(layout, sim.state());
                 res.endInstr = tryBusValue(prb.instrAddrQ);
                 return finish();
             }
@@ -392,16 +418,15 @@ PathSim::continueSegment(const SegmentHooks &hooks)
 
         sim.clockEdge();
 
-        SymState cur(layout);
-        cur.capture(layout, sim.state());
-        bool pc_unknown = !statePcXBits(cur).empty();
-
+        // The state only matters where the segment ends: probe the PC
+        // flops in place and capture nothing on the other cycles.
+        const bool pc_unknown = simPcUnknown();
         if (!is_commit && !pc_unknown)
             continue;
         if (cfg.disableMerging && !pc_unknown)
             continue; // ablation: no subsumption, no merging
 
-        res.end = std::move(cur);
+        res.end.capture(layout, sim.state());
         res.endInstr = instr_addr;
         res.endFsm = fsm;
         res.pcUnknown = pc_unknown;

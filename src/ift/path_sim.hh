@@ -14,6 +14,11 @@
  * affect what the *caller* does with the segment end). That purity is
  * what lets a worker's result stand in for a segment the engine would
  * otherwise simulate (SegmentMemo, DESIGN.md §11).
+ *
+ * Inside a segment the machine state lives only in the simulator. The
+ * per-cycle test for an unknown PC reads the PC flop nets in place;
+ * a SymState is captured only where the segment ends (commit, unknown
+ * PC, hook Stop) and at POR forks (DESIGN.md §5).
  */
 
 #ifndef GLIFS_IFT_PATH_SIM_HH
@@ -160,6 +165,9 @@ class PathSim
     SymLayout layout;
     FlowChecker checker;
     std::vector<size_t> pcSlots; ///< SymState slots of the PC flops
+    /** SymState slots of the instruction-address flops (instrAddrQ
+     *  bit order). */
+    std::vector<size_t> instrAddrSlots;
 
     /** Load the binary; taint the tainted code partitions (footnote
      *  3). Program ROM is not part of the captured symbolic state, so
@@ -180,6 +188,14 @@ class PathSim
 
     /** OR this cycle's net taints into @p plane. */
     void accumulateTaint(BitPlane &plane) const;
+
+    /** Any unknown PC bit in the simulator's current state: the
+     *  per-cycle segment-end probe, read without capturing. */
+    bool simPcUnknown() const;
+
+    /** Instruction address held by a captured state, or 0xFFFF if any
+     *  bit is X (tryBusValue() on the state without restoring it). */
+    uint16_t stateInstrAddr(const SymState &s) const;
 
     /** Unknown PC bits of a captured state. */
     std::vector<unsigned> statePcXBits(const SymState &s) const;

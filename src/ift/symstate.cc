@@ -1,6 +1,7 @@
 #include "ift/symstate.hh"
 
 #include "base/logging.hh"
+#include "base/stats.hh"
 
 namespace glifs
 {
@@ -54,35 +55,101 @@ SymState::setPlanes(BitPlane k, BitPlane v, BitPlane t)
     taint = std::move(t);
 }
 
+namespace
+{
+
+/** Snapshot traffic (docs/OBSERVABILITY.md): the audit captures at
+ *  segment ends and POR forks only, never once per cycle. */
+struct SymStateStats
+{
+    stats::Scalar captures{"symstate.captures",
+                           "machine states captured into a SymState"};
+    stats::Scalar restores{"symstate.restores",
+                           "SymStates written back into a simulation"};
+};
+
+SymStateStats &
+symStateStats()
+{
+    static SymStateStats s;
+    return s;
+}
+
+/** OR the known/value/taint bits of @p s into slot @p i of the three
+ *  plane word arrays. */
+inline void
+packSlot(uint64_t *k, uint64_t *v, uint64_t *t, size_t i, const Signal &s)
+{
+    const size_t w = i / 64;
+    const unsigned b = i % 64;
+    k[w] |= static_cast<uint64_t>(s.value != Tern::X) << b;
+    v[w] |= static_cast<uint64_t>(s.value == Tern::One) << b;
+    t[w] |= static_cast<uint64_t>(s.taint) << b;
+}
+
+/** The signal held at slot @p i of the three plane word arrays. */
+inline Signal
+unpackSlot(const uint64_t *k, const uint64_t *v, const uint64_t *t,
+           size_t i)
+{
+    const size_t w = i / 64;
+    const unsigned b = i % 64;
+    const bool known = (k[w] >> b) & 1ULL;
+    return Signal{known ? ternBool((v[w] >> b) & 1ULL) : Tern::X,
+                  ((t[w] >> b) & 1ULL) != 0};
+}
+
+} // namespace
+
 void
 SymState::capture(const SymLayout &layout, const SignalState &sigs)
 {
+    ++symStateStats().captures;
     if (known.size() != layout.slots()) {
         known.resize(layout.slots());
         value.resize(layout.slots());
         taint.resize(layout.slots());
+    } else {
+        known.clearAll();
+        value.clearAll();
+        taint.clearAll();
     }
-    size_t slot_idx = 0;
-    for (NetId n : layout.dffNets())
-        setSlot(slot_idx++, sigs.net(n));
+    // Only slots below slots() are written, so the tail bits of the
+    // last word stay zero for operator==, subsumedBy and the digest.
+    uint64_t *k = known.words().data();
+    uint64_t *v = value.words().data();
+    uint64_t *t = taint.words().data();
+    // Flops hold slots [0, dffNets().size()), memories follow.
+    const std::vector<Signal> &nets = sigs.rawNets();
+    const std::vector<NetId> &dffs = layout.dffNets();
+    for (size_t i = 0; i < dffs.size(); ++i)
+        packSlot(k, v, t, i, nets[dffs[i]]);
     for (const auto &[mem, base] : layout.mems()) {
         const std::vector<Signal> &cells = sigs.memCells(mem);
+        GLIFS_ASSERT(base + cells.size() <= layout.slots(),
+                     "memory ", mem, " overruns the layout");
         for (size_t i = 0; i < cells.size(); ++i)
-            setSlot(base + i, cells[i]);
+            packSlot(k, v, t, base + i, cells[i]);
     }
 }
 
 void
 SymState::restore(const SymLayout &layout, SignalState &sigs) const
 {
+    ++symStateStats().restores;
     GLIFS_ASSERT(known.size() == layout.slots(), "layout mismatch");
-    size_t slot_idx = 0;
-    for (NetId n : layout.dffNets())
-        sigs.setNet(n, slot(slot_idx++));
+    const uint64_t *k = known.words().data();
+    const uint64_t *v = value.words().data();
+    const uint64_t *t = taint.words().data();
+    const std::vector<NetId> &dffs = layout.dffNets();
+    for (size_t i = 0; i < dffs.size(); ++i)
+        sigs.setNet(dffs[i], unpackSlot(k, v, t, i));
     for (const auto &[mem, base] : layout.mems()) {
         std::vector<Signal> &cells = sigs.memCells(mem);
+        GLIFS_ASSERT(base + cells.size() <= layout.slots(),
+                     "memory ", mem, " overruns the layout");
         for (size_t i = 0; i < cells.size(); ++i)
-            cells[i] = slot(base + i);
+            cells[i] = unpackSlot(k, v, t, base + i);
     }
 }
 

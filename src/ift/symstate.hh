@@ -8,6 +8,14 @@
  * value / taint), giving O(words) substate tests and conservative
  * merges — the operations the paper's state table performs at every
  * PC-changing instruction.
+ *
+ * The audit captures a state only where a segment ends (a PC-changing
+ * commit, an unknown PC, a hook stop) and at POR forks, never once
+ * per simulated cycle (ift/path_sim.hh). capture() and restore() move
+ * whole plane words: each slot's three bits are ORed into or decoded
+ * from the words directly, and bits past slots() stay zero, because
+ * operator==, subsumedBy() and the exploration digest read whole
+ * words (DESIGN.md §5).
  */
 
 #ifndef GLIFS_IFT_SYMSTATE_HH
@@ -55,10 +63,12 @@ class SymState
     SymState() = default;
     explicit SymState(const SymLayout &layout);
 
-    /** Capture flops and memories from a simulation state. */
+    /** Capture flops and memories from a simulation state (counted
+     *  in symstate.captures). */
     void capture(const SymLayout &layout, const SignalState &sigs);
 
-    /** Write flops and memories back into a simulation state. */
+    /** Write flops and memories back into a simulation state (counted
+     *  in symstate.restores); other nets are left untouched. */
     void restore(const SymLayout &layout, SignalState &sigs) const;
 
     /**

@@ -14,10 +14,14 @@
 #include "assembler/assembler.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
+#include "ift/checkpoint.hh"
 #include "ift/engine.hh"
+#include "ift/path_sim.hh"
 #include "ift/rootcause.hh"
 #include "soc/soc.hh"
 #include "test_fixtures.hh"
+#include "workloads/rtos.hh"
+#include "workloads/workload.hh"
 
 namespace glifs
 {
@@ -387,6 +391,107 @@ TEST_F(IftTest, RunUpdatesTheStatsRegistry)
               before.value("sim.comb_evals"));
     EXPECT_GT(after.value("state_table.lookups"),
               before.value("state_table.lookups"));
+}
+
+// The audit captures machine state only where a segment ends: once
+// for the reset state, once per state-table lookup and twice per POR
+// fork (the pre-fork state and the fired branch). A capture on every
+// cycle would exceed this by about engine.cycles. Restores happen only
+// where a segment starts from a stored state: each pop, each Merged
+// continuation and each POR fork's not-fired replay.
+TEST_F(IftTest, SymStateCapturedOnlyAtSegmentEnds)
+{
+    const MicroBenchmark rtos = rtosProtected();
+    const Workload &kernel = workloadByName("inSort");
+    const std::vector<std::pair<ProgramImage, Policy>> runs = {
+        {assembleSource(rtos.source), rtos.policy},
+        {kernel.image(), kernel.policy()}};
+    for (const auto &[image, policy] : runs) {
+        stats::Snapshot before = stats::Registry::instance().snapshot();
+        IftEngine engine(*soc, policy, EngineConfig{});
+        EngineResult r = engine.run(image);
+        ASSERT_TRUE(r.completed) << r.summary();
+        stats::Snapshot after = stats::Registry::instance().snapshot();
+        auto delta = [&](const char *name) {
+            return after.value(name) - before.value(name);
+        };
+        EXPECT_GT(delta("symstate.captures"), 0.0);
+        EXPECT_LE(delta("symstate.captures"),
+                  delta("state_table.lookups") +
+                      2 * delta("engine.por_forks") + 1)
+            << r.summary();
+        EXPECT_LE(delta("symstate.restores"),
+                  delta("engine.paths") + delta("state_table.merges") +
+                      delta("engine.por_forks"))
+            << r.summary();
+        EXPECT_LT(delta("symstate.captures"), delta("engine.cycles"));
+    }
+}
+
+// A memo hit's first governor poll reads the instruction address of a
+// degradation record from the segment's start state, which the
+// simulator does not hold. With a memo that answers every segment,
+// each poll after a state-table visit is a hit's poll, so the tracked-
+// states budgets fire there; the run must degrade and stop exactly as
+// the memo-free run does.
+TEST_F(IftTest, MemoHitsDegradeLikeSimulatedSegments)
+{
+    const Workload &kernel = workloadByName("inSort");
+    const ProgramImage image = kernel.image();
+    const Policy policy = kernel.policy();
+    EngineConfig cfg;
+    cfg.budgets.softStates = 4;
+    cfg.budgets.hardStates = 9;
+    cfg.checkpointOnStop = true;
+
+    const EngineResult plain = IftEngine(*soc, policy, cfg).run(image);
+
+    PathSim side(*soc, policy, cfg, image);
+    side.loadProgram();
+    SegmentResult cached;
+    uint64_t hits = 0;
+    SegmentMemo memo;
+    memo.start = [](uint64_t) {};
+    memo.prefetch = [](std::vector<FrontierEntry> &) {};
+    memo.lookup = [&](FrontierEntry &start,
+                      uint64_t cycleLimit) -> const SegmentResult * {
+        cached = side.runSegment(start.state);
+        if (cached.cycles >= cycleLimit)
+            return nullptr;
+        ++hits;
+        return &cached;
+    };
+    const EngineResult hit =
+        IftEngine(*soc, policy, cfg).run(image, nullptr, &memo);
+
+    EXPECT_GT(hits, 0u);
+    ASSERT_EQ(plain.degradations.size(), 2u) << plain.summary();
+    EXPECT_EQ(plain.degradations[0].level, DegradeLevel::WidenedMerging);
+    EXPECT_EQ(plain.degradations[1].level, DegradeLevel::PartialStop);
+    ASSERT_EQ(hit.degradations.size(), plain.degradations.size());
+    for (size_t i = 0; i < plain.degradations.size(); ++i)
+        EXPECT_EQ(hit.degradations[i].str(), plain.degradations[i].str());
+    EXPECT_EQ(hit.verdict(), plain.verdict());
+    EXPECT_EQ(hit.cyclesSimulated, plain.cyclesSimulated);
+    EXPECT_EQ(hit.pathsExplored, plain.pathsExplored);
+    EXPECT_EQ(hit.merges, plain.merges);
+    EXPECT_EQ(hit.subsumptions, plain.subsumptions);
+    EXPECT_EQ(hit.statesTracked, plain.statesTracked);
+    ASSERT_EQ(hit.violations.size(), plain.violations.size());
+    for (size_t i = 0; i < plain.violations.size(); ++i) {
+        EXPECT_EQ(hit.violations[i].instrAddr,
+                  plain.violations[i].instrAddr);
+        EXPECT_EQ(hit.violations[i].firstCycle,
+                  plain.violations[i].firstCycle);
+        EXPECT_EQ(hit.violations[i].count, plain.violations[i].count);
+    }
+    ASSERT_TRUE(plain.checkpoint && hit.checkpoint);
+    ASSERT_EQ(hit.checkpoint->frontier.size(),
+              plain.checkpoint->frontier.size());
+    for (size_t i = 0; i < plain.checkpoint->frontier.size(); ++i) {
+        EXPECT_EQ(hit.checkpoint->frontier[i],
+                  plain.checkpoint->frontier[i]);
+    }
 }
 
 TEST_F(IftTest, TracedRunEmitsEngineSpans)

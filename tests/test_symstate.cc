@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "ift/state_table.hh"
 #include "ift/symstate.hh"
 #include "netlist/builder.hh"
@@ -93,6 +95,157 @@ TEST(SymState, CaptureRestoreRoundTrip)
     SymState s2(layout);
     s2.capture(layout, other);
     EXPECT_EQ(s, s2);
+}
+
+/**
+ * A netlist of @p nflops flops and one writable memory per entry of
+ * @p mems ({words, width}), plus a ROM that must stay out of the
+ * layout. Slot counts are chosen by the caller to straddle words.
+ */
+Netlist
+layeredNetlist(size_t nflops,
+               const std::vector<std::pair<uint32_t, unsigned>> &mems)
+{
+    Netlist nl;
+    NetId d = nl.addInput("d");
+    NetId rst = nl.addInput("rst");
+    for (size_t i = 0; i < nflops; ++i) {
+        DffHandle ff = nl.addDff("q" + std::to_string(i));
+        nl.connectDff(ff.gate, d, rst, nl.constNet(true));
+    }
+    auto addMem = [&](const std::string &name, uint32_t words,
+                      unsigned width, bool writable) {
+        MemoryDecl mem;
+        mem.name = name;
+        mem.width = width;
+        mem.words = words;
+        mem.writable = writable;
+        for (uint32_t w = 1; w < words; w <<= 1) {
+            const std::string bit = std::to_string(mem.readAddr.size());
+            mem.readAddr.push_back(nl.addInput(name + "_a" + bit));
+        }
+        for (unsigned b = 0; b < width; ++b)
+            mem.readData.push_back(
+                nl.addNet(name + "_rd" + std::to_string(b)));
+        if (writable) {
+            mem.writeAddr = mem.readAddr;
+            mem.writeData.assign(width, d);
+            mem.writeEn = nl.addInput(name + "_we");
+        }
+        nl.addMemory(mem);
+    };
+    addMem("rom", 4, 8, false);
+    for (size_t m = 0; m < mems.size(); ++m)
+        addMem("m" + std::to_string(m), mems[m].first, mems[m].second,
+               true);
+    return nl;
+}
+
+/** Random ternary value and taint. */
+Signal
+randomSignal(std::mt19937_64 &rng)
+{
+    return Signal{static_cast<Tern>(rng() % 3), (rng() & 1) != 0};
+}
+
+/** Every net and every memory cell (ROM included) randomised. */
+SignalState
+randomState(const Netlist &nl, std::mt19937_64 &rng)
+{
+    SignalState sigs(nl);
+    for (NetId n = 0; n < nl.numNets(); ++n)
+        sigs.setNet(n, randomSignal(rng));
+    for (MemId m = 0; m < nl.numMemories(); ++m) {
+        for (Signal &cell : sigs.memCells(m))
+            cell = randomSignal(rng);
+    }
+    return sigs;
+}
+
+/** The slot-at-a-time capture the word-granular one must equal. */
+SymState
+referenceCapture(const SymLayout &layout, const SignalState &sigs)
+{
+    SymState ref(layout);
+    for (size_t i = 0; i < layout.dffNets().size(); ++i)
+        ref.setSlot(layout.dffSlot(i), sigs.net(layout.dffNets()[i]));
+    for (const auto &[mem, base] : layout.mems()) {
+        const std::vector<Signal> &cells = sigs.memCells(mem);
+        for (size_t i = 0; i < cells.size(); ++i)
+            ref.setSlot(base + i, cells[i]);
+    }
+    return ref;
+}
+
+/** True iff no plane has a bit set at or past slot @p slots. */
+bool
+tailIsZero(const SymState &s, size_t slots)
+{
+    for (const BitPlane *p :
+         {&s.knownPlane(), &s.valuePlane(), &s.taintPlane()}) {
+        const std::vector<uint64_t> &w = p->words();
+        if (w.size() != (slots + 63) / 64)
+            return false;
+        if (slots % 64 != 0 && (w.back() >> (slots % 64)) != 0)
+            return false;
+    }
+    return true;
+}
+
+TEST(SymState, WordCaptureRestoreIsBitExact)
+{
+    // Slot counts: 4 + 16 = 20; 70 + 7*9 + 64*3 = 325; 64 + 0 = 64
+    // (a whole number of words); 130 + 5*13 = 195.
+    using Mems = std::vector<std::pair<uint32_t, unsigned>>;
+    const std::vector<std::pair<size_t, Mems>> shapes = {
+        {4, {{4, 4}}}, {70, {{7, 9}, {64, 3}}}, {64, {}}, {130, {{5, 13}}}};
+    std::mt19937_64 rng(0x5eed);
+    for (const auto &[nflops, mems] : shapes) {
+        Netlist nl = layeredNetlist(nflops, mems);
+        SymLayout layout(nl);
+        SCOPED_TRACE("slots=" + std::to_string(layout.slots()));
+        // One SymState reused across captures: a capture must not
+        // keep any bit of the state it overwrites.
+        SymState reused(layout);
+        for (int trial = 0; trial < 20; ++trial) {
+            const SignalState sigs = randomState(nl, rng);
+            const SymState ref = referenceCapture(layout, sigs);
+
+            SymState fresh;
+            fresh.capture(layout, sigs);
+            reused.capture(layout, sigs);
+            ASSERT_EQ(fresh, ref);
+            ASSERT_EQ(reused, ref);
+            ASSERT_TRUE(tailIsZero(fresh, layout.slots()));
+
+            // restore rewrites exactly the flops and writable cells.
+            const SignalState before = randomState(nl, rng);
+            SignalState after = before;
+            fresh.restore(layout, after);
+            std::vector<bool> isFlop(nl.numNets(), false);
+            for (size_t i = 0; i < layout.dffNets().size(); ++i) {
+                const NetId n = layout.dffNets()[i];
+                isFlop[n] = true;
+                ASSERT_EQ(after.net(n), sigs.net(n)) << "flop " << i;
+            }
+            for (NetId n = 0; n < nl.numNets(); ++n) {
+                if (!isFlop[n]) {
+                    ASSERT_EQ(after.net(n), before.net(n)) << "net " << n;
+                }
+            }
+            for (MemId m = 0; m < nl.numMemories(); ++m) {
+                const SignalState &want =
+                    nl.memory(m).writable ? sigs : before;
+                ASSERT_EQ(after.memCells(m), want.memCells(m))
+                    << "memory " << m;
+            }
+
+            // ...and capturing it again gives the same state back.
+            SymState again;
+            again.capture(layout, after);
+            ASSERT_EQ(again, fresh);
+        }
+    }
 }
 
 TEST(SymState, SubsumptionOrdering)

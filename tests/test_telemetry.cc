@@ -467,7 +467,9 @@ runCmd(const std::string &cmd)
 TEST(TelemetryEndToEnd, SigkillMidRunLeavesDecodableStream)
 {
     const std::string dir = tempDir("sigkill");
-    const std::string asmFile = materializeWorkload(dir, "tHold");
+    // inSort runs for about four heartbeat periods: long enough that
+    // the worker is still running when the second frame arrives.
+    const std::string asmFile = materializeWorkload(dir, "inSort");
 
     int telPipe[2];
     ASSERT_EQ(::pipe(telPipe), 0);
@@ -534,8 +536,8 @@ TEST(TelemetryEndToEnd, SigkillMidRunLeavesDecodableStream)
 
 /** The acceptance scenario: a live `--jobs 4 --status-file` batch
  *  updates the status JSON with per-job cycle progress *before any
- *  job exits*. Four copies of the slowest registry workload keep the
- *  observation window wide. */
+ *  job exits*. Four copies of inSort, one of the slowest registry
+ *  workloads, keep the observation window wide. */
 TEST(TelemetryEndToEnd, StatusFileShowsLiveProgressBeforeAnyExit)
 {
     const std::string dir = tempDir("livestatus");
@@ -544,7 +546,7 @@ TEST(TelemetryEndToEnd, StatusFileShowsLiveProgressBeforeAnyExit)
         std::ofstream out(manifestFile);
         out << "batch live fleet\n";
         for (int i = 1; i <= 4; ++i)
-            out << "job t" << i << "\n    workload tHold\n";
+            out << "job t" << i << "\n    workload inSort\n";
     }
     const std::string statusFile = dir + "/status.json";
 

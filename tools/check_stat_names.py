@@ -51,6 +51,7 @@ KNOWN_GROUPS = frozenset({
     "governor",
     "sim",
     "state_table",
+    "symstate",
     "telemetry",
     "trace",
 })
