@@ -1,5 +1,6 @@
 #include "base/bitutil.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "base/logging.hh"
@@ -48,6 +49,42 @@ BitPlane::resize(size_t nbits)
 {
     numBits = nbits;
     data.assign((nbits + 63) / 64, 0);
+}
+
+void
+BitPlane::copyBits(size_t dst_pos, const BitPlane &src, size_t src_pos,
+                   size_t len)
+{
+    GLIFS_ASSERT(&src != this, "copyBits onto its own source");
+    GLIFS_ASSERT(dst_pos + len <= numBits && src_pos + len <= src.numBits,
+                 "copyBits range out of bounds");
+    // Head: fill the destination up to its next word boundary.
+    if (len > 0 && dst_pos % 64 != 0) {
+        const unsigned n =
+            static_cast<unsigned>(std::min<size_t>(64 - dst_pos % 64, len));
+        setField(dst_pos, n, src.field(src_pos, n));
+        dst_pos += n;
+        src_pos += n;
+        len -= n;
+    }
+    // Body: whole destination words, each from at most two source
+    // words. The last one read ends inside the source range.
+    uint64_t *d = data.data() + dst_pos / 64;
+    const uint64_t *s = src.data.data() + src_pos / 64;
+    const unsigned sh = src_pos % 64;
+    const size_t full = len / 64;
+    if (sh == 0) {
+        std::copy(s, s + full, d);
+    } else {
+        for (size_t i = 0; i < full; ++i)
+            d[i] = (s[i] >> sh) | (s[i + 1] << (64 - sh));
+    }
+    // Tail: the bits after the last whole word.
+    const unsigned rest = static_cast<unsigned>(len % 64);
+    if (rest > 0) {
+        setField(dst_pos + full * 64, rest,
+                 src.field(src_pos + full * 64, rest));
+    }
 }
 
 void

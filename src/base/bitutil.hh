@@ -75,6 +75,50 @@ class BitPlane
             data[i / 64] &= ~(1ULL << (i % 64));
     }
 
+    /**
+     * Bits [pos, pos + len) as an integer, bit pos in the LSB; len in
+     * [1, 64]. The field spans at most two words.
+     */
+    uint64_t
+    field(size_t pos, unsigned len) const
+    {
+        GLIFS_ASSERT(len >= 1 && len <= 64 && pos + len <= numBits,
+                     "BitPlane field ", pos, "+", len, " > ", numBits);
+        const size_t w = pos / 64;
+        const unsigned b = pos % 64;
+        uint64_t v = data[w] >> b;
+        if (b + len > 64)
+            v |= data[w + 1] << (64 - b);
+        return v & lowMask(len);
+    }
+
+    /** Overwrite bits [pos, pos + len) with the low @p len bits of
+     *  @p v; len in [1, 64], every other bit is kept. */
+    void
+    setField(size_t pos, unsigned len, uint64_t v)
+    {
+        GLIFS_ASSERT(len >= 1 && len <= 64 && pos + len <= numBits,
+                     "BitPlane field ", pos, "+", len, " > ", numBits);
+        v &= lowMask(len);
+        const size_t w = pos / 64;
+        const unsigned b = pos % 64;
+        data[w] = (data[w] & ~(lowMask(len) << b)) | (v << b);
+        if (b + len > 64) {
+            const unsigned hi = b + len - 64;
+            data[w + 1] =
+                (data[w + 1] & ~lowMask(hi)) | (v >> (64 - b));
+        }
+    }
+
+    /**
+     * Copy bits [src_pos, src_pos + len) of @p src into bits
+     * [dst_pos, dst_pos + len) of this plane, a destination word at a
+     * time; bits outside the range, the tail included, are kept.
+     * @p src must not be this plane.
+     */
+    void copyBits(size_t dst_pos, const BitPlane &src, size_t src_pos,
+                  size_t len);
+
     void clearAll();
     void setAll();
 

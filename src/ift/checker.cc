@@ -1,5 +1,6 @@
 #include "ift/checker.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "base/bitutil.hh"
@@ -7,7 +8,6 @@
 #include "base/stats.hh"
 #include "base/strutil.hh"
 #include "base/trace.hh"
-#include "soc/address_map.hh"
 
 namespace glifs
 {
@@ -85,10 +85,9 @@ Violation::str() const
     return oss.str();
 }
 
-void
-ViolationLog::record(ViolationKind kind, uint16_t instr_addr,
-                     uint64_t cycle, const std::string &detail,
-                     bool maskable)
+Violation *
+ViolationLog::observe(ViolationKind kind, uint16_t instr_addr,
+                      uint64_t cycle, bool maskable)
 {
     ++checkerStats().violations;
     GLIFS_TRACE_INSTANT_ARGS("checker", "violation",
@@ -104,12 +103,11 @@ ViolationLog::record(ViolationKind kind, uint16_t instr_addr,
         v.firstCycle = cycle;
         v.count = 1;
         v.maskable = maskable;
-        v.detail = detail;
-        entries.emplace(key, std::move(v));
-    } else {
-        ++it->second.count;
-        it->second.maskable = it->second.maskable || maskable;
+        return &entries.emplace(key, std::move(v)).first->second;
     }
+    ++it->second.count;
+    it->second.maskable = it->second.maskable || maskable;
+    return nullptr;
 }
 
 void
@@ -201,30 +199,6 @@ intersectsRange(const AddrSet &s, uint16_t lo, uint16_t hi)
     return !(max < lo || min > hi);
 }
 
-/** Call fn(addr) for every set member inside [lo, hi] (bounded). */
-template <typename Fn>
-void
-forEachInRange(const AddrSet &s, uint16_t lo, uint16_t hi, Fn fn)
-{
-    unsigned free_bits = popcount64(s.xmask);
-    if (free_bits > 12) {
-        for (uint32_t a = lo; a <= hi; ++a) {
-            if (s.canEqual(static_cast<uint16_t>(a)))
-                fn(static_cast<uint16_t>(a));
-        }
-        return;
-    }
-    uint16_t sub = 0;
-    while (true) {
-        uint16_t a = s.base | sub;
-        if (a >= lo && a <= hi)
-            fn(a);
-        if (sub == s.xmask)
-            break;
-        sub = static_cast<uint16_t>((sub - s.xmask) & s.xmask);
-    }
-}
-
 bool
 busTainted(const Simulator &sim, const Bus &bus)
 {
@@ -253,6 +227,28 @@ busValueConcrete(const Simulator &sim, const Bus &bus, const char *what)
             v |= static_cast<uint16_t>(1u << i);
     }
     return v;
+}
+
+/**
+ * Call @p fn(a), in ascending order, for every data-space address a in
+ * [lo, hi] that is a RAM word with at least one tainted cell. Reads
+ * the RAM taint plane a word at a time.
+ */
+template <typename Fn>
+void
+forEachTaintedRamAddr(const MemPlanes &ram, uint32_t lo, uint32_t hi, Fn fn)
+{
+    lo = std::max<uint32_t>(lo, iot430::kRamBase);
+    hi = std::min<uint32_t>({hi, iot430::kRamEnd,
+                             static_cast<uint32_t>(iot430::kRamBase +
+                                                   ram.words() - 1)});
+    if (lo > hi)
+        return;
+    ram.forEachTaintedWord(lo - iot430::kRamBase, hi - iot430::kRamBase,
+                           [&](size_t w) {
+                               fn(static_cast<uint16_t>(iot430::kRamBase +
+                                                        w));
+                           });
 }
 
 const uint16_t kPortOutAddr[4] = {iot430::kP1Out, iot430::kP2Out,
@@ -300,8 +296,11 @@ FlowChecker::checkWrite(const Simulator &sim, uint16_t instr_addr,
         if (any_taint && intersectsRange(addr, m.lo, m.hi)) {
             log.record(ViolationKind::StoreUntaintedPartition, instr_addr,
                        cycle,
-                       detail::concat("store may taint untainted "
-                                      "partition '", m.name, "'"),
+                       [&] {
+                           return detail::concat("store may taint "
+                                                 "untainted partition '",
+                                                 m.name, "'");
+                       },
                        true);
         }
     }
@@ -312,8 +311,11 @@ FlowChecker::checkWrite(const Simulator &sim, uint16_t instr_addr,
         if (any_taint && addr.canEqual(kPortOutAddr[p])) {
             log.record(ViolationKind::TaintedWriteTrustedPort, instr_addr,
                        cycle,
-                       detail::concat("tainted store may reach trusted "
-                                      "P", p + 1, "OUT"),
+                       [&] {
+                           return detail::concat("tainted store may "
+                                                 "reach trusted P",
+                                                 p + 1, "OUT");
+                       },
                        true);
         }
     }
@@ -351,40 +353,40 @@ FlowChecker::checkRead(const Simulator &sim, uint16_t instr_addr,
             continue;
         if (intersectsRange(addr, m.lo, m.hi)) {
             log.record(ViolationKind::LoadTaintedData, instr_addr, cycle,
-                       detail::concat("untainted code loads from "
-                                      "tainted partition '", m.name,
-                                      "'"));
+                       [&] {
+                           return detail::concat("untainted code loads "
+                                                 "from tainted partition '",
+                                                 m.name, "'");
+                       });
         }
     }
 
-    // Tainted cells anywhere in the reachable read set.
-    const Netlist &nl = soc.netlist();
-    const auto &cells = sim.state().memCells(prb.dataMem);
-    const MemoryDecl &ram = nl.memory(prb.dataMem);
-    forEachInRange(addr, iot430::kRamBase, iot430::kRamEnd,
-                   [&](uint16_t a) {
-                       size_t w = a - iot430::kRamBase;
-                       for (unsigned b = 0; b < ram.width; ++b) {
-                           if (cells[w * ram.width + b].taint) {
-                               log.record(
-                                   ViolationKind::LoadTaintedData,
-                                   instr_addr, cycle,
-                                   detail::concat(
-                                       "untainted code loads tainted "
-                                       "cell ", hex16(a)));
-                               return;
-                           }
-                       }
-                   });
+    // Tainted cells anywhere in the reachable read set, one observation
+    // per tainted RAM word it may denote. The set's members lie
+    // between base (every X bit 0) and base | xmask (every X bit 1).
+    forEachTaintedRamAddr(
+        sim.state().mem(prb.dataMem), addr.base, addr.base | addr.xmask,
+        [&](uint16_t a) {
+            if (!addr.canEqual(a))
+                return;
+            log.record(ViolationKind::LoadTaintedData, instr_addr, cycle,
+                       [&] {
+                           return detail::concat(
+                               "untainted code loads tainted cell ",
+                               hex16(a));
+                       });
+        });
 
     for (unsigned p = 0; p < 4; ++p) {
         if (!policy.taintedInPort[p])
             continue;
         if (addr.canEqual(kPortInAddr[p])) {
             log.record(ViolationKind::UntaintedReadTaintedPort,
-                       instr_addr, cycle,
-                       detail::concat("untainted code reads tainted P",
-                                      p + 1, "IN"));
+                       instr_addr, cycle, [&] {
+                           return detail::concat("untainted code reads "
+                                                 "tainted P",
+                                                 p + 1, "IN");
+                       });
         }
     }
 }
@@ -413,9 +415,10 @@ FlowChecker::checkCycle(const Simulator &sim, uint16_t instr_addr,
         if (policy.trustedOutPort[p] &&
             busTainted(sim, prb.portOut[p])) {
             log.record(ViolationKind::TrustedOutputTainted, instr_addr,
-                       cycle,
-                       detail::concat("trusted P", p + 1,
-                                      "OUT carries taint"));
+                       cycle, [&] {
+                           return detail::concat("trusted P", p + 1,
+                                                 "OUT carries taint");
+                       });
         }
     }
 
@@ -431,30 +434,18 @@ FlowChecker::checkMemoryInvariant(const Simulator &sim,
                                   ViolationLog &log) const
 {
     ++checkerStats().memoryScans;
-    const SocProbes &prb = soc.probes();
-    const Netlist &nl = soc.netlist();
-    const MemoryDecl &ram = nl.memory(prb.dataMem);
-    const auto &cells = sim.state().memCells(prb.dataMem);
-
+    const MemPlanes &ram = sim.state().mem(soc.probes().dataMem);
     for (const MemPartition &m : policy.mem) {
         if (m.tainted)
             continue;
-        for (uint32_t a = m.lo; a <= m.hi; ++a) {
-            if (classifyAddr(static_cast<uint16_t>(a)) != AddrRegion::Ram)
-                continue;
-            size_t w = ramIndex(static_cast<uint16_t>(a));
-            for (unsigned b = 0; b < ram.width; ++b) {
-                if (cells[w * ram.width + b].taint) {
-                    log.record(
-                        ViolationKind::StoreUntaintedPartition,
-                        instr_addr, cycle,
-                        detail::concat("untainted partition '", m.name,
-                                       "' cell ", hex16(a),
-                                       " is tainted"));
-                    break;
-                }
-            }
-        }
+        forEachTaintedRamAddr(ram, m.lo, m.hi, [&](uint16_t a) {
+            log.record(ViolationKind::StoreUntaintedPartition, instr_addr,
+                       cycle, [&] {
+                           return detail::concat("untainted partition '",
+                                                 m.name, "' cell ",
+                                                 hex16(a), " is tainted");
+                       });
+        });
     }
 }
 

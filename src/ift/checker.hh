@@ -8,8 +8,10 @@
 #ifndef GLIFS_IFT_CHECKER_HH
 #define GLIFS_IFT_CHECKER_HH
 
+#include <concepts>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ift/policy.hh"
@@ -64,12 +66,34 @@ struct Violation
     std::string str() const;
 };
 
-/** Aggregating log of violations keyed by (kind, instruction). */
+/**
+ * Aggregating log of violations keyed by (kind, instruction). Every
+ * record() is one observation (checker.violations, a trace instant,
+ * +1 count); only the first observation of a key keeps its cycle and
+ * detail, so the detail is built only for a key not yet in the log.
+ */
 class ViolationLog
 {
   public:
-    void record(ViolationKind kind, uint16_t instr_addr, uint64_t cycle,
-                const std::string &detail, bool maskable = false);
+    void
+    record(ViolationKind kind, uint16_t instr_addr, uint64_t cycle,
+           std::string_view detail, bool maskable = false)
+    {
+        if (Violation *v = observe(kind, instr_addr, cycle, maskable))
+            v->detail = detail;
+    }
+
+    /** record() with the detail built by @p make_detail(), called only
+     *  when the (kind, instruction) key is new. */
+    template <typename MakeDetail>
+        requires std::invocable<MakeDetail &>
+    void
+    record(ViolationKind kind, uint16_t instr_addr, uint64_t cycle,
+           MakeDetail &&make_detail, bool maskable = false)
+    {
+        if (Violation *v = observe(kind, instr_addr, cycle, maskable))
+            v->detail = make_detail();
+    }
 
     /** Checkpoint restore: re-insert an aggregated entry verbatim. */
     void restore(const Violation &v);
@@ -89,6 +113,11 @@ class ViolationLog
 
   private:
     std::map<std::pair<uint8_t, uint16_t>, Violation> entries;
+
+    /** Count one observation; the entry if it was just inserted (its
+     *  detail still empty), else null. */
+    Violation *observe(ViolationKind kind, uint16_t instr_addr,
+                       uint64_t cycle, bool maskable);
 };
 
 /**
@@ -109,7 +138,8 @@ class FlowChecker
 
     /**
      * Scan all RAM cells for taint in untainted partitions (invariant
-     * check, used at path ends).
+     * check, used at path ends). One observation per tainted RAM word
+     * of each untainted partition, in ascending address order.
      */
     void checkMemoryInvariant(const Simulator &sim, uint16_t instr_addr,
                               uint64_t cycle, ViolationLog &log) const;

@@ -250,10 +250,8 @@ PathSim::starSaturate(BitPlane *everTainted)
     for (GateId g : nl.dffs())
         sim.state().setNet(nl.gate(g).out, Signal{Tern::X, true});
     for (MemId m = 0; m < nl.numMemories(); ++m) {
-        if (!nl.memory(m).writable)
-            continue;
-        for (Signal &cell : sim.state().memCells(m))
-            cell = Signal{Tern::X, true};
+        if (nl.memory(m).writable)
+            sim.state().mem(m).fill(Signal{Tern::X, true});
     }
     const SocProbes &prb = soc.probes();
     sim.setInput(prb.extReset, sigBool(false));

@@ -119,18 +119,14 @@ SymState::capture(const SymLayout &layout, const SignalState &sigs)
     uint64_t *k = known.words().data();
     uint64_t *v = value.words().data();
     uint64_t *t = taint.words().data();
-    // Flops hold slots [0, dffNets().size()), memories follow.
+    // Flops hold slots [0, dffNets().size()), memories follow, each
+    // copied from its planes as shifted words.
     const std::vector<Signal> &nets = sigs.rawNets();
     const std::vector<NetId> &dffs = layout.dffNets();
     for (size_t i = 0; i < dffs.size(); ++i)
         packSlot(k, v, t, i, nets[dffs[i]]);
-    for (const auto &[mem, base] : layout.mems()) {
-        const std::vector<Signal> &cells = sigs.memCells(mem);
-        GLIFS_ASSERT(base + cells.size() <= layout.slots(),
-                     "memory ", mem, " overruns the layout");
-        for (size_t i = 0; i < cells.size(); ++i)
-            packSlot(k, v, t, base + i, cells[i]);
-    }
+    for (const auto &[mem, base] : layout.mems())
+        sigs.mem(mem).storeTo(known, value, taint, base);
 }
 
 void
@@ -144,13 +140,8 @@ SymState::restore(const SymLayout &layout, SignalState &sigs) const
     const std::vector<NetId> &dffs = layout.dffNets();
     for (size_t i = 0; i < dffs.size(); ++i)
         sigs.setNet(dffs[i], unpackSlot(k, v, t, i));
-    for (const auto &[mem, base] : layout.mems()) {
-        std::vector<Signal> &cells = sigs.memCells(mem);
-        GLIFS_ASSERT(base + cells.size() <= layout.slots(),
-                     "memory ", mem, " overruns the layout");
-        for (size_t i = 0; i < cells.size(); ++i)
-            cells[i] = unpackSlot(k, v, t, base + i);
-    }
+    for (const auto &[mem, base] : layout.mems())
+        sigs.mem(mem).loadFrom(known, value, taint, base);
 }
 
 bool

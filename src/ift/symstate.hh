@@ -12,10 +12,12 @@
  * The audit captures a state only where a segment ends (a PC-changing
  * commit, an unknown PC, a hook stop) and at POR forks, never once
  * per simulated cycle (ift/path_sim.hh). capture() and restore() move
- * whole plane words: each slot's three bits are ORed into or decoded
- * from the words directly, and bits past slots() stay zero, because
- * operator==, subsumedBy() and the exploration digest read whole
- * words (DESIGN.md §5).
+ * whole plane words: flop slots are ORed into or decoded from the
+ * words one slot at a time, and each memory's slot range is a shifted
+ * word copy of its known/value/taint planes (the simulation keeps
+ * memories in that very form, netlist/memory_array.hh). Bits past
+ * slots() stay zero, because operator==, subsumedBy() and the
+ * exploration digest read whole words (DESIGN.md §5).
  */
 
 #ifndef GLIFS_IFT_SYMSTATE_HH

@@ -2,6 +2,12 @@
  * @file
  * The mutable value/taint state of a netlist simulation: one Signal per
  * net plus the contents of every memory block.
+ *
+ * Memory contents live in bit planes (MemPlanes, netlist/memory_array.hh):
+ * known / value / taint, cell i = word * width + bit, unknown cells
+ * with value bit 0. That is the order and canonical form of a
+ * SymState's memory slots, so snapshots, ambiguous-address reads and
+ * taint scans all work a plane word at a time.
  */
 
 #ifndef GLIFS_SIM_SIGNAL_STATE_HH
@@ -9,6 +15,7 @@
 
 #include <vector>
 
+#include "netlist/memory_array.hh"
 #include "netlist/netlist.hh"
 
 namespace glifs
@@ -24,11 +31,9 @@ class SignalState
     Signal net(NetId id) const { return netSignals[id]; }
     void setNet(NetId id, const Signal &s) { netSignals[id] = s; }
 
-    std::vector<Signal> &memCells(MemId id) { return memories[id]; }
-    const std::vector<Signal> &memCells(MemId id) const
-    {
-        return memories[id];
-    }
+    /** The contents of memory @p id. */
+    MemPlanes &mem(MemId id) { return memories[id]; }
+    const MemPlanes &mem(MemId id) const { return memories[id]; }
 
     /** Read one memory word's concrete value; X bits read as 0. */
     uint64_t memWordValue(const Netlist &nl, MemId id, size_t word) const;
@@ -45,7 +50,7 @@ class SignalState
 
   private:
     std::vector<Signal> netSignals;
-    std::vector<std::vector<Signal>> memories;
+    std::vector<MemPlanes> memories;
 };
 
 } // namespace glifs

@@ -30,6 +30,14 @@ struct SimStats
                                "memory read-port evaluations"};
     stats::Scalar memWriteCommits{"sim.mem_write_commits",
                                   "memory write-port commits"};
+    stats::Scalar memWideReads{
+        "sim.mem_wide_reads",
+        "memory reads whose address has X bits (each merges a set of "
+        "words)"};
+    stats::Scalar memWeakWrites{
+        "sim.mem_weak_writes",
+        "memory write commits that merged into the cells (X enable or "
+        "X address)"};
     stats::Scalar packedWordEvals{
         "sim.packed_word_evals",
         "bit-packed kernel word applications (packed backend)"};
@@ -98,8 +106,6 @@ Simulator::Simulator(const Netlist &netlist)
     levelWork.resize(fanout.numLevels);
     dffNextScratch.reserve(nl.dffs().size());
     writeScratch.resize(nl.numMemories());
-    for (MemId m = 0; m < nl.numMemories(); ++m)
-        writeScratch[m].data.resize(nl.memory(m).width);
     activeWrites.reserve(nl.numMemories());
     if (backendSel == SimBackend::Packed)
         packed = std::make_unique<PackedEval>(nl, order);
@@ -222,8 +228,8 @@ Simulator::evalGate(GateId gid, const GliftTables &glift, bool track)
         markNetFanoutDirty(g.out);
 }
 
-void
-Simulator::evalMemRead(MemId m, bool track)
+MemWord
+Simulator::readPort(MemId m)
 {
     const MemoryDecl &decl = nl.memory(m);
     addrScratch.resize(decl.readAddr.size());
@@ -234,14 +240,22 @@ Simulator::evalMemRead(MemId m, bool track)
         decodeMemAddr(addrScratch, decl.words, decl.maxUnknownAddrBits);
     if (!decl.addrTaintsRead)
         ma.tainted = false;
-    dataScratch.resize(decl.width);
-    memoryRead(sigs.memCells(m), decl.width, decl.words, ma,
-               dataScratch);
+    if (!ma.concrete())
+        ++simStats().memWideReads;
+    return memoryRead(sigs.mem(m), ma);
+}
+
+void
+Simulator::evalMemRead(MemId m, bool track)
+{
+    const MemoryDecl &decl = nl.memory(m);
+    const MemWord data = readPort(m);
     for (unsigned b = 0; b < decl.width; ++b) {
         const NetId rd = decl.readData[b];
-        if (sigs.net(rd) == dataScratch[b])
+        const Signal s = data.bit(b);
+        if (sigs.net(rd) == s)
             continue;
-        sigs.setNet(rd, dataScratch[b]);
+        sigs.setNet(rd, s);
         if (track)
             markNetFanoutDirty(rd);
     }
@@ -330,10 +344,25 @@ Simulator::stageMemWrites()
             addrScratch[i] = sigs.net(decl.writeAddr[i]);
         w.addr = decodeMemAddr(addrScratch, decl.words,
                                decl.maxUnknownAddrBits);
+        dataScratch.resize(decl.width);
         for (unsigned b = 0; b < decl.width; ++b)
-            w.data[b] = sigs.net(decl.writeData[b]);
+            dataScratch[b] = sigs.net(decl.writeData[b]);
+        w.data = packMemWord(dataScratch);
         activeWrites.push_back(m);
     }
+}
+
+void
+Simulator::commitMemWrite(MemId m)
+{
+    const PendingWrite &w = writeScratch[m];
+    SimStats &st = simStats();
+    if (isWeakWrite(w.addr, w.we))
+        ++st.memWeakWrites;
+    memoryWrite(sigs.mem(m), w.addr, w.we, w.data);
+    ++st.memWriteCommits;
+    if (togglesOn)
+        ++toggles.memWrites;
 }
 
 void
@@ -377,13 +406,7 @@ Simulator::clockEdge()
     SimStats &st = simStats();
     ++st.clockEdges;
     for (MemId m : activeWrites) {
-        const MemoryDecl &decl = nl.memory(m);
-        const PendingWrite &w = writeScratch[m];
-        memoryWrite(sigs.memCells(m), decl.width, decl.words, w.addr,
-                    w.we, w.data);
-        ++st.memWriteCommits;
-        if (togglesOn)
-            ++toggles.memWrites;
+        commitMemWrite(m);
         // Cells may have changed: the read port must re-evaluate.
         if (track)
             markNodeDirty(fanout.memNode(m));
@@ -431,23 +454,14 @@ Simulator::evalMemReadPacked(MemId m, bool track)
 {
     PackedEval &pe = *packed;
     const MemoryDecl &decl = nl.memory(m);
-    addrScratch.resize(decl.readAddr.size());
-    for (size_t i = 0; i < addrScratch.size(); ++i)
-        addrScratch[i] = sigs.net(decl.readAddr[i]);
-
-    MemAddr ma =
-        decodeMemAddr(addrScratch, decl.words, decl.maxUnknownAddrBits);
-    if (!decl.addrTaintsRead)
-        ma.tainted = false;
-    dataScratch.resize(decl.width);
-    memoryRead(sigs.memCells(m), decl.width, decl.words, ma,
-               dataScratch);
+    const MemWord data = readPort(m);
     for (unsigned b = 0; b < decl.width; ++b) {
         const NetId rd = decl.readData[b];
-        if (sigs.net(rd) == dataScratch[b])
+        const Signal s = data.bit(b);
+        if (sigs.net(rd) == s)
             continue;
-        sigs.setNet(rd, dataScratch[b]);
-        pe.setNetPlanes(rd, dataScratch[b]);
+        sigs.setNet(rd, s);
+        pe.setNetPlanes(rd, s);
         if (track)
             pe.markConsumersDirty(rd);
     }
@@ -568,13 +582,7 @@ Simulator::clockEdgePacked()
     ++st.clockEdges;
     st.packedWordEvals += dffRunScratch.size();
     for (MemId m : activeWrites) {
-        const MemoryDecl &decl = nl.memory(m);
-        const PendingWrite &w = writeScratch[m];
-        memoryWrite(sigs.memCells(m), decl.width, decl.words, w.addr,
-                    w.we, w.data);
-        ++st.memWriteCommits;
-        if (togglesOn)
-            ++toggles.memWrites;
+        commitMemWrite(m);
         // Cells may have changed: the read port must re-evaluate.
         if (track)
             pe.markMemUnitDirty(m);

@@ -103,7 +103,7 @@ class Simulator
      * Store a concrete word into a memory block, keeping the read
      * port's dirty tracking consistent. External writers must use this
      * (or markMemDirty()/markAllDirty()) instead of mutating
-     * state().memCells() behind the scheduler's back.
+     * state().mem() behind the scheduler's back.
      */
     void setMemWord(MemId mem, size_t word, uint64_t value,
                     bool taint = false);
@@ -195,7 +195,7 @@ class Simulator
 
     // --- reusable scratch buffers (no per-call heap allocation) ------
     std::vector<Signal> addrScratch;
-    std::vector<Signal> dataScratch;
+    std::vector<Signal> dataScratch;  ///< write-port data signals
     std::vector<Signal> dffNextScratch;
 
     /** One memory write port's pending edge update. */
@@ -203,7 +203,7 @@ class Simulator
     {
         MemAddr addr;
         Signal we;
-        std::vector<Signal> data;
+        MemWord data;
     };
     std::vector<PendingWrite> writeScratch;  ///< per-memory slot
     std::vector<MemId> activeWrites;         ///< memories written this edge
@@ -215,6 +215,8 @@ class Simulator
     /** Evaluate one gate; propagate into the dirty set iff @p track. */
     void evalGate(GateId g, const GliftTables &glift, bool track);
     void evalMemRead(MemId m, bool track);
+    /** Decode memory @p m's read address and read the port's word. */
+    MemWord readPort(MemId m);
 
     /** The full levelized sweep (allDirty / full-sweep mode). */
     void evalFull();
@@ -229,6 +231,8 @@ class Simulator
     void evalMemReadPacked(MemId m, bool track);
     /** Stage all memory write ports (shared by both edge paths). */
     void stageMemWrites();
+    /** Commit memory @p m's staged write (shared by both edge paths). */
+    void commitMemWrite(MemId m);
 };
 
 } // namespace glifs

@@ -112,13 +112,14 @@ TEST(FaultInjection, OperandMiswiringIsDetectedByCosim)
  */
 TEST(FaultInjection, StrongUpdateMustClearTaintForFixesToVerify)
 {
-    std::vector<Signal> cells(8, Signal{Tern::Zero, true});
+    // width=1, 8 words.
+    MemPlanes cells(8, 1);
+    cells.fill(Signal{Tern::Zero, true});
     std::vector<Signal> addr = {sigZero(), sigZero(), sigZero()};
     MemAddr ma = decodeMemAddr(addr, 8, 12);
-    std::vector<Signal> data(1, sigBool(1, false));
-    // width=1, 8 words.
-    memoryWrite(cells, 1, 8, ma, sigOne(), data);
-    EXPECT_FALSE(cells[0].taint)
+    const Signal data[] = {sigBool(1, false)};
+    memoryWrite(cells, ma, sigOne(), packMemWord(data));
+    EXPECT_FALSE(cells.cell(0).taint)
         << "strong updates must launder taint, or masking could "
            "never re-verify";
 }

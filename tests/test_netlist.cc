@@ -183,13 +183,9 @@ class MemFixture : public ::testing::Test
   protected:
     static constexpr unsigned width = 8;
     static constexpr size_t words = 16;
-    std::vector<Signal> cells;
+    MemPlanes mem{words, width};
 
-    void
-    SetUp() override
-    {
-        cells.assign(words * width, Signal{Tern::Zero, false});
-    }
+    void SetUp() override { mem.fill(Signal{Tern::Zero, false}); }
 
     std::vector<Signal>
     addrSig(uint16_t value, uint16_t x_mask = 0, uint16_t taint_mask = 0)
@@ -204,24 +200,13 @@ class MemFixture : public ::testing::Test
         return a;
     }
 
-    std::vector<Signal>
+    MemWord
     dataSig(uint8_t value, bool taint = false)
     {
-        std::vector<Signal> d(width);
-        for (unsigned i = 0; i < width; ++i)
-            d[i] = Signal{ternBool((value >> i) & 1), taint};
-        return d;
+        return MemWord{lowMask(width), value, taint ? lowMask(width) : 0};
     }
 
-    bool
-    cellTainted(size_t w)
-    {
-        for (unsigned b = 0; b < width; ++b) {
-            if (cells[w * width + b].taint)
-                return true;
-        }
-        return false;
-    }
+    bool cellTainted(size_t w) { return mem.word(w).taint != 0; }
 };
 
 TEST_F(MemFixture, ConcreteWriteAndRead)
@@ -229,16 +214,11 @@ TEST_F(MemFixture, ConcreteWriteAndRead)
     auto addr = addrSig(5);
     MemAddr ma = decodeMemAddr(addr, words, 12);
     EXPECT_TRUE(ma.concrete());
-    memoryWrite(cells, width, words, ma, sigOne(), dataSig(0xAB));
-    std::vector<Signal> out(width);
-    memoryRead(cells, width, words, ma, out);
-    uint8_t v = 0;
-    for (unsigned b = 0; b < width; ++b) {
-        if (out[b].asBool())
-            v |= 1u << b;
-    }
-    EXPECT_EQ(v, 0xAB);
-    EXPECT_FALSE(out[0].taint);
+    memoryWrite(mem, ma, sigOne(), dataSig(0xAB));
+    const MemWord out = memoryRead(mem, ma);
+    EXPECT_EQ(out.known, lowMask(width));
+    EXPECT_EQ(out.value, 0xABu);
+    EXPECT_FALSE(out.bit(0).taint);
 }
 
 TEST_F(MemFixture, TaintedAddressTaintsCell)
@@ -246,7 +226,7 @@ TEST_F(MemFixture, TaintedAddressTaintsCell)
     auto addr = addrSig(3, 0, 0x1);  // known but tainted address
     MemAddr ma = decodeMemAddr(addr, words, 12);
     EXPECT_TRUE(ma.tainted);
-    memoryWrite(cells, width, words, ma, sigOne(), dataSig(0x01));
+    memoryWrite(mem, ma, sigOne(), dataSig(0x01));
     EXPECT_TRUE(cellTainted(3));
     EXPECT_FALSE(cellTainted(2));
 }
@@ -257,7 +237,7 @@ TEST_F(MemFixture, UnknownTaintedAddressTaintsWholeReachableSet)
     // tainted pointer taints every memory cell.
     auto addr = addrSig(0, 0xF, 0xF);
     MemAddr ma = decodeMemAddr(addr, words, 12);
-    memoryWrite(cells, width, words, ma, sigOne(), dataSig(0x01));
+    memoryWrite(mem, ma, sigOne(), dataSig(0x01));
     for (size_t w = 0; w < words; ++w)
         EXPECT_TRUE(cellTainted(w)) << "word " << w;
 }
@@ -268,7 +248,7 @@ TEST_F(MemFixture, MaskedAddressLimitsTaint)
     // high half keeps the low half untainted.
     auto addr = addrSig(0x8, 0x7, 0x7);  // bit3 fixed 1, low bits X
     MemAddr ma = decodeMemAddr(addr, words, 12);
-    memoryWrite(cells, width, words, ma, sigOne(), dataSig(0x01, true));
+    memoryWrite(mem, ma, sigOne(), dataSig(0x01, true));
     for (size_t w = 0; w < 8; ++w)
         EXPECT_FALSE(cellTainted(w)) << "word " << w;
     for (size_t w = 8; w < 16; ++w)
@@ -279,26 +259,26 @@ TEST_F(MemFixture, StrongUpdateCanUntaint)
 {
     // Overwriting a tainted cell with untainted data through a fully
     // known untainted pointer clears the taint.
-    cells[7 * width].taint = true;
+    mem.setCell(7 * width, Signal{Tern::Zero, true});
     auto addr = addrSig(7);
     MemAddr ma = decodeMemAddr(addr, words, 12);
-    memoryWrite(cells, width, words, ma, sigOne(), dataSig(0x00));
+    memoryWrite(mem, ma, sigOne(), dataSig(0x00));
     EXPECT_FALSE(cellTainted(7));
 }
 
 TEST_F(MemFixture, WeakUpdateMergesValues)
 {
     auto a5 = addrSig(5);
-    memoryWrite(cells, width, words, decodeMemAddr(a5, words, 12),
+    memoryWrite(mem, decodeMemAddr(a5, words, 12),
                 sigOne(), dataSig(0xFF));
     // Unknown-address write of 0x00 across the whole memory.
     auto ax = addrSig(0, 0xF, 0);
-    memoryWrite(cells, width, words, decodeMemAddr(ax, words, 12),
+    memoryWrite(mem, decodeMemAddr(ax, words, 12),
                 sigOne(), dataSig(0x00));
     // Word 5 could now be 0xFF or 0x00: all bits X but untainted.
     for (unsigned b = 0; b < width; ++b) {
-        EXPECT_EQ(cells[5 * width + b].value, Tern::X);
-        EXPECT_FALSE(cells[5 * width + b].taint);
+        EXPECT_EQ(mem.cell(5 * width + b).value, Tern::X);
+        EXPECT_FALSE(mem.cell(5 * width + b).taint);
     }
 }
 
@@ -309,10 +289,10 @@ TEST_F(MemFixture, TaintedButZeroEnableDoesNothing)
     // separately by the analysis engine and carries the taint there
     // (path-enumeration semantics, see memoryWrite()).
     auto addr = addrSig(2);
-    memoryWrite(cells, width, words, decodeMemAddr(addr, words, 12),
+    memoryWrite(mem, decodeMemAddr(addr, words, 12),
                 Signal{Tern::Zero, true}, dataSig(0xFF));
     EXPECT_FALSE(cellTainted(2));
-    EXPECT_EQ(cells[2 * width].value, Tern::Zero);
+    EXPECT_EQ(mem.cell(2 * width).value, Tern::Zero);
 }
 
 TEST_F(MemFixture, UnknownTaintedEnableTaints)
@@ -320,33 +300,29 @@ TEST_F(MemFixture, UnknownTaintedEnableTaints)
     // An enable that could actually be high within this path (X) does
     // taint the reachable cells.
     auto addr = addrSig(2);
-    memoryWrite(cells, width, words, decodeMemAddr(addr, words, 12),
+    memoryWrite(mem, decodeMemAddr(addr, words, 12),
                 Signal{Tern::X, true}, dataSig(0xFF));
     EXPECT_TRUE(cellTainted(2));
 }
 
 TEST_F(MemFixture, ReadMergesUnknownAddresses)
 {
-    memoryWrite(cells, width, words, decodeMemAddr(addrSig(0), words, 12),
+    memoryWrite(mem, decodeMemAddr(addrSig(0), words, 12),
                 sigOne(), dataSig(0x00));
-    memoryWrite(cells, width, words, decodeMemAddr(addrSig(1), words, 12),
+    memoryWrite(mem, decodeMemAddr(addrSig(1), words, 12),
                 sigOne(), dataSig(0x01));
-    std::vector<Signal> out(width);
-    memoryRead(cells, width, words, decodeMemAddr(addrSig(0, 0x1), words,
-                                                  12),
-               out);
-    EXPECT_EQ(out[0].value, Tern::X);   // bit 0 differs
-    EXPECT_EQ(out[1].value, Tern::Zero);  // bit 1 same
+    const MemWord out =
+        memoryRead(mem, decodeMemAddr(addrSig(0, 0x1), words, 12));
+    EXPECT_EQ(out.bit(0).value, Tern::X);   // bit 0 differs
+    EXPECT_EQ(out.bit(1).value, Tern::Zero);  // bit 1 same
 }
 
 TEST_F(MemFixture, ReadTaintedCellPropagates)
 {
-    cells[9 * width + 2].taint = true;
-    std::vector<Signal> out(width);
-    memoryRead(cells, width, words, decodeMemAddr(addrSig(9), words, 12),
-               out);
-    EXPECT_TRUE(out[2].taint);
-    EXPECT_FALSE(out[3].taint);
+    mem.setCell(9 * width + 2, Signal{Tern::Zero, true});
+    const MemWord out = memoryRead(mem, decodeMemAddr(addrSig(9), words, 12));
+    EXPECT_TRUE(out.bit(2).taint);
+    EXPECT_FALSE(out.bit(3).taint);
 }
 
 TEST_F(MemFixture, FullRangeFallback)

@@ -173,14 +173,14 @@ statesEqual(const Netlist &nl, const Simulator &a, const Simulator &b)
         }
     }
     for (MemId m = 0; m < nl.numMemories(); ++m) {
-        const auto &ca = a.state().memCells(m);
-        const auto &cb = b.state().memCells(m);
-        for (size_t i = 0; i < ca.size(); ++i) {
-            if (!(ca[i] == cb[i])) {
+        const MemPlanes &ca = a.state().mem(m);
+        const MemPlanes &cb = b.state().mem(m);
+        for (size_t i = 0; i < ca.cells(); ++i) {
+            if (!(ca.cell(i) == cb.cell(i))) {
                 return ::testing::AssertionFailure()
                        << "memory " << nl.memory(m).name << " cell "
-                       << i << ": " << ca[i].str() << " vs "
-                       << cb[i].str();
+                       << i << ": " << ca.cell(i).str() << " vs "
+                       << cb.cell(i).str();
             }
         }
     }

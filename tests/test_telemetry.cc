@@ -35,8 +35,8 @@
 #include "base/faultfs.hh"
 #include "base/stats.hh"
 #include "base/telemetry.hh"
-#include "batch/manifest.hh"
 #include "test_tmpdir.hh"
+#include "workloads/rtos.hh"
 
 #ifndef GLIFS_AUDIT_BIN
 #define GLIFS_AUDIT_BIN "glifs_audit"
@@ -434,21 +434,16 @@ TEST(TelemetryFaultfs, InjectedShortReadOnlyDelaysFrames)
 // End-to-end: real glifs_audit / glifs_batch processes.
 // ------------------------------------------------------------------
 
-/** Materialize a registry workload's assembly via the manifest
- *  loader (the same resolution path the batch runner uses). */
+/** Write the protected MiniRTOS (Section 7.3) firmware into @p dir.
+ *  Audited under the default policy it runs for about five heartbeat
+ *  periods, several times longer than any registry kernel, so a
+ *  worker is reliably still running when its first heartbeat fires. */
 std::string
-materializeWorkload(const std::string &dir,
-                    const std::string &workload)
+writeRtosFirmware(const std::string &dir)
 {
-    const std::string manifestFile = dir + "/m.manifest";
-    {
-        std::ofstream out(manifestFile);
-        out << "batch tmp\njob j\n    workload " << workload << "\n";
-    }
-    batch::Manifest m = batch::loadManifest(manifestFile);
-    const std::string asmFile = dir + "/" + workload + ".s";
+    const std::string asmFile = dir + "/rtos.s";
     std::ofstream out(asmFile);
-    out << m.jobs.at(0).firmwareText;
+    out << rtosProtected().source;
     return asmFile;
 }
 
@@ -467,9 +462,9 @@ runCmd(const std::string &cmd)
 TEST(TelemetryEndToEnd, SigkillMidRunLeavesDecodableStream)
 {
     const std::string dir = tempDir("sigkill");
-    // inSort runs for about four heartbeat periods: long enough that
-    // the worker is still running when the second frame arrives.
-    const std::string asmFile = materializeWorkload(dir, "inSort");
+    // The MiniRTOS runs for several heartbeat periods: long enough
+    // that the worker is still running when the second frame arrives.
+    const std::string asmFile = writeRtosFirmware(dir);
 
     int telPipe[2];
     ASSERT_EQ(::pipe(telPipe), 0);
@@ -536,8 +531,8 @@ TEST(TelemetryEndToEnd, SigkillMidRunLeavesDecodableStream)
 
 /** The acceptance scenario: a live `--jobs 4 --status-file` batch
  *  updates the status JSON with per-job cycle progress *before any
- *  job exits*. Four copies of inSort, one of the slowest registry
- *  workloads, keep the observation window wide. */
+ *  job exits*. Four copies of the MiniRTOS, longer-running than any
+ *  registry workload, keep the observation window wide. */
 TEST(TelemetryEndToEnd, StatusFileShowsLiveProgressBeforeAnyExit)
 {
     const std::string dir = tempDir("livestatus");
@@ -546,7 +541,8 @@ TEST(TelemetryEndToEnd, StatusFileShowsLiveProgressBeforeAnyExit)
         std::ofstream out(manifestFile);
         out << "batch live fleet\n";
         for (int i = 1; i <= 4; ++i)
-            out << "job t" << i << "\n    workload inSort\n";
+            out << "job t" << i << "\n    firmware "
+                << writeRtosFirmware(dir) << "\n";
     }
     const std::string statusFile = dir + "/status.json";
 
@@ -614,7 +610,9 @@ TEST(TelemetryEndToEnd, StatusFileShowsLiveProgressBeforeAnyExit)
 
 /** `--trace-merge` yields one Chrome trace with a pid lane and a
  *  process_name record per job, and the batch report aggregates the
- *  workers' final stats snapshots into "worker_stats". */
+ *  workers' final stats snapshots into "worker_stats". Workers sample
+ *  their stats at a heartbeat, so one job (the MiniRTOS) runs for
+ *  several heartbeat periods. */
 TEST(TelemetryEndToEnd, MergedTraceHasPerJobLanesAndWorkerStats)
 {
     const std::string dir = tempDir("tracemerge");
@@ -622,7 +620,8 @@ TEST(TelemetryEndToEnd, MergedTraceHasPerJobLanesAndWorkerStats)
     {
         std::ofstream out(manifestFile);
         out << "batch merge fleet\n"
-            << "job mult\n    workload mult\n"
+            << "job rtos\n    firmware " << writeRtosFirmware(dir)
+            << "\n"
             << "job thold\n    workload tHold\n";
     }
     const std::string merged = dir + "/merged.json";
@@ -646,7 +645,7 @@ TEST(TelemetryEndToEnd, MergedTraceHasPerJobLanesAndWorkerStats)
     // One process_name metadata record per job, naming its lane.
     EXPECT_NE(trace.find("{\"name\": \"process_name\", \"ph\": "
                          "\"M\", \"pid\": 1, \"tid\": 1, \"args\": "
-                         "{\"name\": \"job mult\"}}"),
+                         "{\"name\": \"job rtos\"}}"),
               std::string::npos);
     EXPECT_NE(trace.find("{\"name\": \"process_name\", \"ph\": "
                          "\"M\", \"pid\": 2, \"tid\": 1, \"args\": "
