@@ -403,8 +403,8 @@ struct RunCtx
      * subsumed, branches, degrades or stops. Each segment is taken
      * from the memo when it holds one, else simulated: from the
      * simulator's own state when the path goes on past a commit whose
-     * state the table stored unchanged (no restore, no full sweep),
-     * else from the segment's start state.
+     * state the table stored unchanged (no restore, no untracked
+     * settle), else from the segment's start state.
      */
     void
     runPath(FrontierEntry e)

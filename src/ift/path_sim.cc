@@ -244,7 +244,7 @@ PathSim::starSaturate(BitPlane *everTainted)
     GLIFS_TRACE_INSTANT("engine", "star_saturate");
     // Bulk mutation of flop outputs and memory cells below
     // bypasses the simulator's tracked setters; invalidate its
-    // dirty set so the settle is a full sweep.
+    // dirty set so the next settle runs every unit.
     sim.markAllDirty();
     const Netlist &nl = soc.netlist();
     for (GateId g : nl.dffs())

@@ -24,7 +24,7 @@ struct SimStats
                             "individual gate/step evaluations"};
     stats::Scalar gateEvalsSkipped{
         "sim.gate_evals_skipped",
-        "scheduled evaluations skipped as clean (event-driven)"};
+        "scheduled evaluations skipped as clean (packed path)"};
     stats::Scalar clockEdges{"sim.clock_edges", "clock edges latched"};
     stats::Scalar memReadEvals{"sim.mem_read_evals",
                                "memory read-port evaluations"};
@@ -40,9 +40,10 @@ struct SimStats
         "X address)"};
     stats::Scalar packedWordEvals{
         "sim.packed_word_evals",
-        "bit-packed kernel word applications (packed backend)"};
-    stats::Gauge backend{"sim.backend",
-                         "active backend: 1 = packed, 0 = interpreted"};
+        "bit-packed kernel word applications (packed path)"};
+    stats::Gauge backend{
+        "sim.backend",
+        "active evaluation path: 1 = packed, 0 = interpreted oracle"};
     stats::Formula dirtyRatio{
         "sim.dirty_ratio",
         "fraction of scheduled evaluations actually run",
@@ -80,14 +81,7 @@ envFlag(const char *name)
     return e && *e && !(e[0] == '0' && e[1] == '\0');
 }
 
-/** GLIFS_SIM_FULL_SWEEP=1 forces full sweeps. */
-bool
-envFullSweep()
-{
-    return envFlag("GLIFS_SIM_FULL_SWEEP");
-}
-
-/** GLIFS_SIM_INTERP=1 selects the interpreted backend. */
+/** GLIFS_SIM_INTERP=1 selects the interpreted oracle. */
 bool
 envInterp()
 {
@@ -97,13 +91,9 @@ envInterp()
 } // namespace
 
 Simulator::Simulator(const Netlist &netlist)
-    : nl(netlist), order(levelize(netlist)),
-      fanout(buildFanoutIndex(netlist, order)), sigs(netlist),
-      fullSweep(envFullSweep()),
+    : nl(netlist), order(levelize(netlist)), sigs(netlist),
       backendSel(envInterp() ? SimBackend::Interp : SimBackend::Packed)
 {
-    dirtyWords.assign((fanout.numNodes() + 63) / 64, 0);
-    levelWork.resize(fanout.numLevels);
     dffNextScratch.reserve(nl.dffs().size());
     writeScratch.resize(nl.numMemories());
     activeWrites.reserve(nl.numMemories());
@@ -124,28 +114,10 @@ Simulator::setBackend(SimBackend b)
     backendSel = b;
     if (b == SimBackend::Packed && !packed)
         packed = std::make_unique<PackedEval>(nl, order);
-    // Neither backend's dirty tracking covered changes made while the
-    // other one was active; start from a clean slate.
+    // The oracle tracks nothing, so the packed path cannot know what
+    // changed while it was away; start from a clean slate.
     markAllDirty();
     simStats().backend.set(b == SimBackend::Packed ? 1 : 0);
-}
-
-void
-Simulator::markNodeDirty(uint32_t node)
-{
-    uint64_t &w = dirtyWords[node >> 6];
-    const uint64_t bit = 1ULL << (node & 63);
-    if (w & bit)
-        return;
-    w |= bit;
-    levelWork[fanout.levelOf[node]].push_back(node);
-}
-
-void
-Simulator::markNetFanoutDirty(NetId net)
-{
-    for (uint32_t c : fanout.consumersOf(net))
-        markNodeDirty(c);
 }
 
 void
@@ -154,31 +126,20 @@ Simulator::setNet(NetId net, const Signal &s)
     if (sigs.net(net) == s)
         return;
     sigs.setNet(net, s);
+    if (backendSel == SimBackend::Interp)
+        return;
     // Keep the planes coherent whenever they are valid, even while
-    // allDirty/fullSweep suppress dirty tracking (e.g. an override
-    // between a stale-plane import and the next settle).
-    if (backendSel == SimBackend::Packed && planesValid)
+    // allDirty suppresses dirty tracking (e.g. an override between a
+    // stale-plane import and the next settle).
+    if (planesValid)
         packed->setNetPlanes(net, s);
-    if (allDirty || fullSweep)
+    if (allDirty)
         return;
     // A driven net must be recomputed from its driver at the next
-    // settle, so the override behaves exactly like under a full sweep
+    // settle, so the override behaves exactly like under the oracle
     // (visible to the clock edge, gone after the next evalComb()).
-    if (backendSel == SimBackend::Packed) {
-        packed->markConsumersDirty(net);
-        packed->markProducerDirty(net);
-        return;
-    }
-    markNetFanoutDirty(net);
-    if (nl.memDriven(net)) {
-        markNodeDirty(fanout.memNode(nl.memDriver(net)));
-    } else {
-        GateId d = nl.driverOf(net);
-        if (d != static_cast<GateId>(-1) &&
-            nl.gate(d).type == GateType::Comb) {
-            markNodeDirty(fanout.gateNode(d));
-        }
-    }
+    packed->markConsumersDirty(net);
+    packed->markProducerDirty(net);
 }
 
 void
@@ -191,26 +152,12 @@ Simulator::setMemWord(MemId mem, size_t word, uint64_t value, bool taint)
 void
 Simulator::markMemDirty(MemId mem)
 {
-    if (allDirty || fullSweep)
-        return;
-    if (backendSel == SimBackend::Packed)
+    if (backendSel == SimBackend::Packed && !allDirty)
         packed->markMemUnitDirty(mem);
-    else
-        markNodeDirty(fanout.memNode(mem));
 }
 
 void
-Simulator::setFullSweepMode(bool on)
-{
-    fullSweep = on;
-    // Leaving full-sweep mode: changes made while it was on were not
-    // tracked, so nothing short of a full sweep is known clean.
-    if (!on)
-        markAllDirty();
-}
-
-void
-Simulator::evalGate(GateId gid, const GliftTables &glift, bool track)
+Simulator::evalGate(GateId gid, const GliftTables &glift)
 {
     const Gate &g = nl.gate(gid);
     Signal in[3];
@@ -224,8 +171,6 @@ Simulator::evalGate(GateId gid, const GliftTables &glift, bool track)
     if (togglesOn && prev.value != out.value)
         ++toggles.combToggles[static_cast<size_t>(g.kind)];
     sigs.setNet(g.out, out);
-    if (track)
-        markNetFanoutDirty(g.out);
 }
 
 MemWord
@@ -246,19 +191,12 @@ Simulator::readPort(MemId m)
 }
 
 void
-Simulator::evalMemRead(MemId m, bool track)
+Simulator::evalMemRead(MemId m)
 {
     const MemoryDecl &decl = nl.memory(m);
     const MemWord data = readPort(m);
-    for (unsigned b = 0; b < decl.width; ++b) {
-        const NetId rd = decl.readData[b];
-        const Signal s = data.bit(b);
-        if (sigs.net(rd) == s)
-            continue;
-        sigs.setNet(rd, s);
-        if (track)
-            markNetFanoutDirty(rd);
-    }
+    for (unsigned b = 0; b < decl.width; ++b)
+        sigs.setNet(decl.readData[b], data.bit(b));
 }
 
 void
@@ -270,61 +208,21 @@ Simulator::evalFull()
     for (const EvalStep &step : order) {
         if (step.kind == EvalStep::Kind::MemRead) {
             ++st.memReadEvals;
-            evalMemRead(step.index, /*track=*/false);
+            evalMemRead(step.index);
             continue;
         }
-        evalGate(step.index, glift, /*track=*/false);
+        evalGate(step.index, glift);
     }
-    // Every node was just recomputed: the pending dirty set is moot.
-    for (std::vector<uint32_t> &bucket : levelWork) {
-        for (uint32_t node : bucket)
-            dirtyWords[node >> 6] &= ~(1ULL << (node & 63));
-        bucket.clear();
-    }
-    allDirty = false;
 }
 
 void
 Simulator::evalComb()
 {
-    SimStats &st = simStats();
-    ++st.combEvals;
-    if (backendSel == SimBackend::Packed) {
+    ++simStats().combEvals;
+    if (backendSel == SimBackend::Packed)
         evalCombPacked();
-        return;
-    }
-    if (fullSweep || allDirty) {
+    else
         evalFull();
-        return;
-    }
-
-    const GliftTables &glift = GliftTables::instance();
-    size_t evaluated = 0;
-    // Drain levels in ascending order. A node's consumers all sit on
-    // strictly higher levels, so a bucket never grows while it drains
-    // and each node runs at most once per settle.
-    for (std::vector<uint32_t> &bucket : levelWork) {
-        for (size_t i = 0; i < bucket.size(); ++i) {
-            const uint32_t node = bucket[i];
-            dirtyWords[node >> 6] &= ~(1ULL << (node & 63));
-            ++evaluated;
-            if (fanout.isMemNode(node)) {
-                ++st.memReadEvals;
-                evalMemRead(fanout.memOf(node), /*track=*/true);
-            } else {
-                evalGate(node, glift, /*track=*/true);
-            }
-        }
-        bucket.clear();
-    }
-    st.gateEvals += evaluated;
-    st.gateEvalsSkipped += order.size() - evaluated;
-
-    trace::Tracer &tr = trace::Tracer::instance();
-    if (tr.enabled()) {
-        tr.counter("sim", "dirty_nodes",
-                   static_cast<double>(evaluated));
-    }
 }
 
 void
@@ -372,7 +270,6 @@ Simulator::clockEdge()
         clockEdgePacked();
         return;
     }
-    const bool track = !fullSweep && !allDirty;
 
     // Compute all flip-flop next states from the settled nets...
     dffNextScratch.clear();
@@ -387,8 +284,7 @@ Simulator::clockEdge()
     // anything, so the edge is atomic.
     stageMemWrites();
 
-    // Commit. A flip-flop whose output actually changed (value or
-    // taint) seeds the next cycle's dirty set through its fanout.
+    // Commit.
     size_t i = 0;
     for (GateId gid : nl.dffs()) {
         const Gate &g = nl.gate(gid);
@@ -400,17 +296,10 @@ Simulator::clockEdge()
         if (togglesOn && prev.value != next.value)
             ++toggles.dffToggles;
         sigs.setNet(g.out, next);
-        if (track)
-            markNetFanoutDirty(g.out);
     }
-    SimStats &st = simStats();
-    ++st.clockEdges;
-    for (MemId m : activeWrites) {
+    ++simStats().clockEdges;
+    for (MemId m : activeWrites)
         commitMemWrite(m);
-        // Cells may have changed: the read port must re-evaluate.
-        if (track)
-            markNodeDirty(fanout.memNode(m));
-    }
 
     ++cycleCount;
     if (togglesOn)
@@ -418,7 +307,7 @@ Simulator::clockEdge()
 }
 
 // ---------------------------------------------------------------------
-// Packed backend
+// Packed path
 // ---------------------------------------------------------------------
 
 void
@@ -480,20 +369,13 @@ Simulator::evalCombPacked()
     size_t evaluated = 0;  // gate lanes + mem read ports actually run
     size_t wordEvals = 0;
     const size_t numUnits = pe.program().units.size();
-    if (fullSweep || allDirty) {
+    if (allDirty) {
         pe.clearAllDirty();
         for (uint32_t u = 0; u < numUnits; ++u)
             runUnitPacked(u, /*track=*/false, evaluated, wordEvals);
         // The settle recomputed every comb net without tracking, so
         // the next edge must consider every flip-flop.
         pe.markAllDffDirty();
-        // Everything was just recomputed: pending interp-side dirty
-        // state is moot too (mirrors evalFull()).
-        for (std::vector<uint32_t> &bucket : levelWork) {
-            for (uint32_t node : bucket)
-                dirtyWords[node >> 6] &= ~(1ULL << (node & 63));
-            bucket.clear();
-        }
         allDirty = false;
     } else {
         // Drain dirty units in ascending index order. Compilation
@@ -533,7 +415,7 @@ Simulator::clockEdgePacked()
         pe.importState(sigs);
         planesValid = true;
     }
-    const bool track = !fullSweep && !allDirty;
+    const bool track = !allDirty;
 
     // Select the flip-flop words to latch. A word none of whose
     // D/RST/EN/Q nets changed since its last computation latches its

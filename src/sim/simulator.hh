@@ -8,24 +8,22 @@
  *  - symbolic simulation (X inputs) as the single-cycle step primitive
  *    of the paper's input-independent taint tracking (Algorithm 1).
  *
- * Scheduling is event-driven by default (DESIGN.md "Simulator
- * scheduling"): a precomputed fanout index maps every changed net to
- * the combinational gates and memory read ports it feeds, and
- * evalComb() re-evaluates only those, draining per-level worklists in
- * dependency order. Because every gate is a pure function of its input
- * signals, a node none of whose inputs changed cannot change its
- * output, so the event-driven settle is bit-identical (values and
- * taints) to the full levelized sweep -- which remains available via
- * setFullSweepMode() or the GLIFS_SIM_FULL_SWEEP=1 environment
- * variable for A/B measurement and differential testing.
+ * A Simulator evaluates along one of two paths, chosen once per
+ * simulator (DESIGN.md "Simulator scheduling"):
+ *  - Packed, the production path: the netlist is lowered once into
+ *    bit-packed plane programs (netlist/compile.hh, DESIGN.md
+ *    "Compiled evaluation") that settle up to 64 gates per bitwise
+ *    kernel application, and evalComb() re-runs only the compiled
+ *    units whose inputs changed since the last settle.
+ *  - Interp, the reference oracle: the levelized schedule swept in
+ *    full every settle, one table lookup per gate, no dirty tracking.
+ *    GLIFS_SIM_INTERP=1 (read at construction) or
+ *    setBackend(SimBackend::Interp) selects it, so a whole audit can be
+ *    A/B'd against it without recompiling.
  *
- * Evaluation itself is compiled by default (DESIGN.md "Compiled
- * evaluation"): the netlist is lowered once into bit-packed plane
- * programs (netlist/compile.hh) and settles run up to 64 gates per
- * bitwise kernel application, with dirty tracking over compiled units
- * instead of individual nodes. GLIFS_SIM_INTERP=1 (or
- * setBackend(SimBackend::Interp)) falls back to the per-signal table
- * interpreter; sweep mode and backend are orthogonal axes.
+ * Every gate is a pure function of its input signals, so both paths
+ * produce bit-identical values and taints on every net and memory cell
+ * (tests/test_sim_event.cc).
  */
 
 #ifndef GLIFS_SIM_SIMULATOR_HH
@@ -35,7 +33,6 @@
 #include <memory>
 #include <vector>
 
-#include "netlist/fanout.hh"
 #include "netlist/levelize.hh"
 #include "netlist/memory_array.hh"
 #include "netlist/netlist.hh"
@@ -49,12 +46,12 @@ class GliftTables;
 class PackedEval;
 
 /**
- * Evaluation backend. Packed (the default) runs the netlist compiled
- * into bit-parallel plane kernels (netlist/compile.hh), 64 same-kind
- * gates per word op; Interp is the one-signal-at-a-time table
- * interpreter, kept as the bisection escape hatch
- * (GLIFS_SIM_INTERP=1) and differential-test oracle. Both produce
- * bit-identical values and taints on every net.
+ * Evaluation path. Packed (the default) runs the netlist compiled into
+ * bit-parallel plane kernels (netlist/compile.hh), 64 same-kind gates
+ * per word op, over a dirty set of compiled units; Interp is the
+ * reference oracle, a full levelized sweep through the
+ * one-signal-at-a-time table interpreter. Both produce bit-identical
+ * values and taints on every net.
  */
 enum class SimBackend : uint8_t { Packed, Interp };
 
@@ -91,11 +88,12 @@ class Simulator
     void setInput(NetId net, const Signal &s) { setNet(net, s); }
 
     /**
-     * Tracked override of any net. A change marks the net's fanout
-     * dirty; if a combinational gate or memory read port drives the
-     * net, that driver is marked too, so the override cannot outlive
-     * the next evalComb() (full-sweep parity: the sweep recomputes
-     * every driven net each settle).
+     * Tracked override of any net. A change marks the net's consumer
+     * units dirty; if a combinational gate or memory read port drives
+     * the net, its unit is marked too, so the override is visible to
+     * the next clock edge and gone after the next evalComb(), exactly
+     * as under the oracle, which recomputes every driven net each
+     * settle.
      */
     void setNet(NetId net, const Signal &s);
 
@@ -112,10 +110,10 @@ class Simulator
     void markMemDirty(MemId mem);
 
     /**
-     * Invalidate the whole dirty set: the next evalComb() performs a
-     * full levelized sweep. Required after any bulk mutation of the
-     * SignalState that bypasses the tracked setters (symbolic state
-     * restore, checkpoint resume, *-logic saturation).
+     * Invalidate the whole dirty set: the next evalComb() runs every
+     * compiled unit once, untracked. Required after any bulk mutation
+     * of the SignalState that bypasses the tracked setters (symbolic
+     * state restore, checkpoint resume, *-logic saturation).
      */
     void
     markAllDirty()
@@ -126,11 +124,7 @@ class Simulator
         planesValid = false;
     }
 
-    /** Full-sweep escape hatch (also GLIFS_SIM_FULL_SWEEP=1). */
-    bool fullSweepMode() const { return fullSweep; }
-    void setFullSweepMode(bool on);
-
-    /** Backend selection (default Packed; also GLIFS_SIM_INTERP=1). */
+    /** Path selection (default Packed; also GLIFS_SIM_INTERP=1). */
     SimBackend backend() const { return backendSel; }
     void setBackend(SimBackend b);
 
@@ -139,8 +133,9 @@ class Simulator
 
     /**
      * Settle all combinational logic and memory read ports for the
-     * current cycle: only dirty nodes in event-driven mode, the whole
-     * levelized schedule in full-sweep mode or after markAllDirty().
+     * current cycle: the dirty units on the packed path (every unit
+     * after markAllDirty()), the whole levelized schedule on the
+     * oracle.
      */
     void evalComb();
 
@@ -148,8 +143,8 @@ class Simulator
      * Advance one clock edge: latch every flip-flop (with the Figure-7
      * reset-taint semantics) and commit memory write ports. Flip-flops
      * and memories whose outputs actually changed seed the next
-     * cycle's dirty set. evalComb() must have been called for the
-     * cycle.
+     * cycle's dirty set (packed path). evalComb() must have been
+     * called for the cycle.
      */
     void clockEdge();
 
@@ -172,26 +167,20 @@ class Simulator
   private:
     const Netlist &nl;
     std::vector<EvalStep> order;
-    FanoutIndex fanout;
     SignalState sigs;
     uint64_t cycleCount = 0;
     bool togglesOn = false;
     ToggleStats toggles;
 
-    // --- event-driven scheduler state --------------------------------
-    bool fullSweep = false;  ///< escape hatch: always sweep everything
-    bool allDirty = true;    ///< next settle must sweep everything
-
-    // --- packed backend ----------------------------------------------
     SimBackend backendSel = SimBackend::Packed;
+
+    // --- packed path -------------------------------------------------
     /** Compiled program + planes; created on first Packed selection. */
     std::unique_ptr<PackedEval> packed;
+    /** Next settle must run every unit, untracked. */
+    bool allDirty = true;
     /** Planes mirror the SignalState net-for-net (else re-import). */
     bool planesValid = false;
-    /** Node-space dirty bitset (deduplicates worklist inserts). */
-    std::vector<uint64_t> dirtyWords;
-    /** Per-level worklists of dirty nodes, drained in ascending order. */
-    std::vector<std::vector<uint32_t>> levelWork;
 
     // --- reusable scratch buffers (no per-call heap allocation) ------
     std::vector<Signal> addrScratch;
@@ -209,19 +198,16 @@ class Simulator
     std::vector<MemId> activeWrites;         ///< memories written this edge
     std::vector<uint32_t> dffRunScratch;     ///< dff words latching this edge
 
-    void markNodeDirty(uint32_t node);
-    void markNetFanoutDirty(NetId net);
-
-    /** Evaluate one gate; propagate into the dirty set iff @p track. */
-    void evalGate(GateId g, const GliftTables &glift, bool track);
-    void evalMemRead(MemId m, bool track);
     /** Decode memory @p m's read address and read the port's word. */
     MemWord readPort(MemId m);
 
-    /** The full levelized sweep (allDirty / full-sweep mode). */
+    // --- oracle path -------------------------------------------------
+    void evalGate(GateId g, const GliftTables &glift);
+    void evalMemRead(MemId m);
+    /** The full levelized sweep. */
     void evalFull();
 
-    // --- packed-backend paths ----------------------------------------
+    // --- packed path -------------------------------------------------
     void evalCombPacked();
     void clockEdgePacked();
     /** Run one compiled unit; mirrors changed nets into sigs. */

@@ -1,19 +1,19 @@
 /**
  * @file
- * Differential tests of the event-driven combinational scheduler
- * against the full levelized sweep (DESIGN.md "Simulator scheduling").
+ * Differential tests of the packed simulator path against the
+ * interpreted full-sweep oracle (DESIGN.md "Simulator scheduling").
  *
- * The event-driven evalComb() must be bit-identical -- values *and*
- * taints, every net and every memory cell, every cycle -- to the
- * unconditional sweep it replaced, and the compiled bit-packed
- * backend (DESIGN.md "Compiled evaluation") must be bit-identical to
- * the table interpreter it replaced. This file proves it three ways:
- * randomized netlists driven with randomized ternary/tainted stimulus
- * (including mid-cycle net overrides, external memory stores and dirty
- * -set invalidation) stepped as a packed / interpreted-event /
- * interpreted-sweep trio, the IoT430 SoC stepped symbolically in
- * lockstep comparing SymState captures, and whole analysis-engine
- * runs over benchmark workloads under GLIFS_SIM_FULL_SWEEP A/B.
+ * The packed path -- compiled bit-packed kernels over a dirty set of
+ * compiled units -- must be bit-identical, values *and* taints, every
+ * net and every memory cell, every cycle, to the oracle that sweeps
+ * the whole levelized schedule through the table interpreter. This
+ * file proves it three ways: randomized netlists driven with
+ * randomized ternary/tainted stimulus (including mid-cycle net
+ * overrides, external memory stores and dirty-set invalidation)
+ * stepped as a packed / oracle pair, the IoT430 SoC stepped
+ * symbolically in lockstep comparing SymState captures, and whole
+ * analysis-engine runs over every Table-1 kernel and the protected
+ * MiniRTOS under GLIFS_SIM_INTERP A/B.
  */
 
 #include <gtest/gtest.h>
@@ -25,11 +25,11 @@
 #include "base/stats.hh"
 #include "ift/engine.hh"
 #include "ift/symstate.hh"
-#include "netlist/fanout.hh"
 #include "netlist/netlist.hh"
 #include "sim/simulator.hh"
 #include "soc/runner.hh"
 #include "soc/soc.hh"
+#include "workloads/rtos.hh"
 #include "workloads/workload.hh"
 
 namespace glifs
@@ -168,8 +168,8 @@ statesEqual(const Netlist &nl, const Simulator &a, const Simulator &b)
         if (!(a.netValue(n) == b.netValue(n))) {
             return ::testing::AssertionFailure()
                    << "net " << n << " (" << nl.net(n).name
-                   << "): event-driven " << a.netValue(n).str()
-                   << " vs full sweep " << b.netValue(n).str();
+                   << "): packed " << a.netValue(n).str()
+                   << " vs oracle " << b.netValue(n).str();
         }
     }
     for (MemId m = 0; m < nl.numMemories(); ++m) {
@@ -193,18 +193,13 @@ runDifferential(uint32_t seed, int cycles)
     std::mt19937 rng(seed);
     RandomDesign d = buildRandomDesign(rng);
 
-    // Three-way: the compiled packed backend (the event-driven
-    // default), the interpreted event-driven scheduler and the
-    // interpreted full sweep must agree bit for bit, every cycle.
-    Simulator evt(d.nl);
-    Simulator interpEvt(d.nl);
-    interpEvt.setBackend(SimBackend::Interp);
-    Simulator full(d.nl);
-    full.setBackend(SimBackend::Interp);
-    full.setFullSweepMode(true);
-    ASSERT_FALSE(evt.fullSweepMode());
-    ASSERT_EQ(evt.backend(), SimBackend::Packed);
-    Simulator *const sims[] = {&evt, &interpEvt, &full};
+    // The packed path and the interpreted full-sweep oracle must
+    // agree bit for bit, every cycle.
+    Simulator packed(d.nl);
+    Simulator oracle(d.nl);
+    oracle.setBackend(SimBackend::Interp);
+    ASSERT_EQ(packed.backend(), SimBackend::Packed);
+    Simulator *const sims[] = {&packed, &oracle};
 
     // Identical ROM contents on all sides.
     const MemoryDecl &rom = d.nl.memory(d.rom);
@@ -231,19 +226,17 @@ runDifferential(uint32_t seed, int cycles)
             for (Simulator *sim : sims)
                 sim->setMemWord(d.ram, w, v, taint);
         }
+        // Invalidation must stay sound. Two independent draws, so
+        // each seed keeps its stimulus stream.
         if (rng() % 11 == 0)
-            evt.markAllDirty();  // invalidation must stay sound
+            packed.markAllDirty();
         if (rng() % 13 == 0)
-            interpEvt.markAllDirty();
+            packed.markAllDirty();
 
         for (Simulator *sim : sims)
             sim->evalComb();
-        ASSERT_TRUE(statesEqual(d.nl, evt, full))
-            << "packed after evalComb, cycle " << c << ", seed "
-            << seed;
-        ASSERT_TRUE(statesEqual(d.nl, interpEvt, full))
-            << "interp-event after evalComb, cycle " << c << ", seed "
-            << seed;
+        ASSERT_TRUE(statesEqual(d.nl, packed, oracle))
+            << "after evalComb, cycle " << c << ", seed " << seed;
 
         if (rng() % 5 == 0) {
             // Post-settle override of an arbitrary net, the por-fork
@@ -256,12 +249,8 @@ runDifferential(uint32_t seed, int cycles)
 
         for (Simulator *sim : sims)
             sim->clockEdge();
-        ASSERT_TRUE(statesEqual(d.nl, evt, full))
-            << "packed after clockEdge, cycle " << c << ", seed "
-            << seed;
-        ASSERT_TRUE(statesEqual(d.nl, interpEvt, full))
-            << "interp-event after clockEdge, cycle " << c
-            << ", seed " << seed;
+        ASSERT_TRUE(statesEqual(d.nl, packed, oracle))
+            << "after clockEdge, cycle " << c << ", seed " << seed;
     }
 }
 
@@ -275,10 +264,9 @@ TEST(SimEventFuzz, BackendSwitchMidRunStaysConsistent)
 {
     std::mt19937 rng(42);
     RandomDesign d = buildRandomDesign(rng);
-    Simulator ab(d.nl);      // flips backend every few cycles
+    Simulator ab(d.nl);      // flips packed/oracle every few cycles
     Simulator oracle(d.nl);
     oracle.setBackend(SimBackend::Interp);
-    oracle.setFullSweepMode(true);
 
     for (int c = 0; c < 120; ++c) {
         if (c % 4 == 0) {
@@ -304,14 +292,14 @@ TEST(SimEventFuzz, SkippedEvalsAreCountedAndBounded)
     std::mt19937 rng(7);
     RandomDesign d = buildRandomDesign(rng);
     Simulator sim(d.nl);
-    ASSERT_FALSE(sim.fullSweepMode());
+    ASSERT_EQ(sim.backend(), SimBackend::Packed);
 
     const double evals0 =
         Registry::instance().snapshot().value("sim.gate_evals");
     const double skip0 = Registry::instance().snapshot().value(
         "sim.gate_evals_skipped");
 
-    sim.step();  // first settle: full sweep, nothing skipped yet
+    sim.step();  // first settle runs every unit, nothing skipped yet
     for (int c = 0; c < 50; ++c)
         sim.step();  // quiescent inputs: almost everything skipped
 
@@ -324,19 +312,6 @@ TEST(SimEventFuzz, SkippedEvalsAreCountedAndBounded)
     const double ratio = snap.value("sim.dirty_ratio");
     EXPECT_GT(ratio, 0.0);
     EXPECT_LE(ratio, 1.0);
-}
-
-TEST(SimEventFuzz, FullSweepEnvSelectsSweep)
-{
-    Netlist nl;
-    NetId a = nl.addInput("a");
-    nl.addComb(GateKind::Not, a);
-    setenv("GLIFS_SIM_FULL_SWEEP", "1", 1);
-    Simulator swept(nl);
-    unsetenv("GLIFS_SIM_FULL_SWEEP");
-    Simulator event(nl);
-    EXPECT_TRUE(swept.fullSweepMode());
-    EXPECT_FALSE(event.fullSweepMode());
 }
 
 TEST(SimEventFuzz, InterpEnvSelectsInterpreter)
@@ -355,35 +330,14 @@ TEST(SimEventFuzz, InterpEnvSelectsInterpreter)
               1.0);
 }
 
-// --- fanout index unit checks ---------------------------------------
-
-TEST(FanoutIndex, LevelsAndConsumers)
-{
-    Netlist nl;
-    NetId a = nl.addInput("a");
-    NetId b = nl.addInput("b");
-    NetId x = nl.addComb(GateKind::And, a, b);   // level 0
-    NetId y = nl.addComb(GateKind::Not, x);      // level 1
-    nl.addComb(GateKind::Or, x, y);              // level 2
-
-    std::vector<EvalStep> order = levelize(nl);
-    FanoutIndex fi = buildFanoutIndex(nl, order);
-    ASSERT_EQ(fi.numLevels, 3u);
-
-    const GateId gx = nl.driverOf(x);
-    const GateId gy = nl.driverOf(y);
-    EXPECT_EQ(fi.levelOf[fi.gateNode(gx)], 0u);
-    EXPECT_EQ(fi.levelOf[fi.gateNode(gy)], 1u);
-
-    // a feeds exactly the AND gate; x feeds NOT and OR.
-    ASSERT_EQ(fi.consumersOf(a).size(), 1u);
-    EXPECT_EQ(fi.consumersOf(a)[0], fi.gateNode(gx));
-    EXPECT_EQ(fi.consumersOf(x).size(), 2u);
-}
-
 // --- IoT430 SoC end-to-end ------------------------------------------
 
-class SimEventSoc : public ::testing::Test
+/**
+ * The SoC tests share one built IoT430. The engine A/B is
+ * parameterized by workload name so ctest runs each workload as its
+ * own test; the plain TEST_F cases ignore the parameter.
+ */
+class SimEventSoc : public ::testing::TestWithParam<std::string>
 {
   protected:
     static void
@@ -418,34 +372,32 @@ Soc *SimEventSoc::soc = nullptr;
 
 TEST_F(SimEventSoc, ConcreteRunMatchesFullSweep)
 {
-    setenv("GLIFS_SIM_FULL_SWEEP", "1", 1);
-    SocRunner swept(*soc);
-    unsetenv("GLIFS_SIM_FULL_SWEEP");
-    SocRunner event(*soc);
-    ASSERT_TRUE(swept.simulator().fullSweepMode());
-    ASSERT_FALSE(event.simulator().fullSweepMode());
+    SocRunner oracle(*soc);
+    oracle.simulator().setBackend(SimBackend::Interp);
+    SocRunner packed(*soc);
+    ASSERT_EQ(packed.simulator().backend(), SimBackend::Packed);
 
-    for (SocRunner *r : {&swept, &event}) {
+    for (SocRunner *r : {&oracle, &packed}) {
         r->load(loopImage());
         r->reset();
         r->runToHalt(100000);
     }
-    EXPECT_EQ(swept.simulator().cycle(), event.simulator().cycle());
+    EXPECT_EQ(oracle.simulator().cycle(), packed.simulator().cycle());
     for (unsigned reg = 0; reg < 16; ++reg)
-        EXPECT_EQ(swept.reg(reg), event.reg(reg)) << "r" << reg;
-    EXPECT_EQ(swept.ram(0x0900), event.ram(0x0900));
-    ASSERT_TRUE(statesEqual(soc->netlist(), event.simulator(),
-                            swept.simulator()));
+        EXPECT_EQ(oracle.reg(reg), packed.reg(reg)) << "r" << reg;
+    EXPECT_EQ(oracle.ram(0x0900), packed.ram(0x0900));
+    ASSERT_TRUE(statesEqual(soc->netlist(), packed.simulator(),
+                            oracle.simulator()));
 }
 
 TEST_F(SimEventSoc, SymbolicLockstepSymStatesMatch)
 {
     const Netlist &nl = soc->netlist();
-    Simulator event(nl);
-    Simulator swept(nl);
-    swept.setFullSweepMode(true);
+    Simulator packed(nl);
+    Simulator oracle(nl);
+    oracle.setBackend(SimBackend::Interp);
 
-    for (Simulator *sim : {&event, &swept}) {
+    for (Simulator *sim : {&packed, &oracle}) {
         soc->loadProgram(sim->state(), loopImage());
         sim->markAllDirty();
         const SocProbes &prb = soc->probes();
@@ -461,56 +413,88 @@ TEST_F(SimEventSoc, SymbolicLockstepSymStatesMatch)
     }
 
     SymLayout layout(nl);
-    SymState se(layout);
-    SymState sf(layout);
+    SymState sp(layout);
+    SymState so(layout);
     for (int c = 0; c < 300; ++c) {
-        event.step();
-        swept.step();
+        packed.step();
+        oracle.step();
         if (c % 50 != 0)
             continue;
-        se.capture(layout, event.state());
-        sf.capture(layout, swept.state());
+        sp.capture(layout, packed.state());
+        so.capture(layout, oracle.state());
         for (size_t i = 0; i < layout.slots(); ++i) {
-            ASSERT_EQ(se.slot(i), sf.slot(i))
+            ASSERT_EQ(sp.slot(i), so.slot(i))
                 << "slot " << i << " at cycle " << c;
         }
     }
-    ASSERT_TRUE(statesEqual(nl, event, swept));
+    ASSERT_TRUE(statesEqual(nl, packed, oracle));
 }
 
-TEST_F(SimEventSoc, EngineWorkloadRunsMatchFullSweep)
+/** The engine A/B's workloads: every Table-1 kernel, then MiniRTOS. */
+const char kRtosProtected[] = "rtosProtected";
+
+std::vector<std::string>
+engineWorkloads()
 {
-    // Whole symbolic analyses under A/B scheduling: one secure
-    // workload, one with Table-2 violations. Identical verdicts and
-    // exploration shape on both sides.
-    for (const char *name : {"mult", "tHold"}) {
-        const Workload &w = workloadByName(name);
+    std::vector<std::string> names = workloadNames();
+    names.push_back(kRtosProtected);
+    return names;
+}
 
-        setenv("GLIFS_SIM_FULL_SWEEP", "1", 1);
-        IftEngine sweptEngine(*soc, w.policy(), EngineConfig{});
-        EngineResult rs = sweptEngine.run(w.image());
-        unsetenv("GLIFS_SIM_FULL_SWEEP");
+TEST_P(SimEventSoc, EngineWorkloadRunsMatchFullSweep)
+{
+    // A whole symbolic analysis run once under the oracle and once on
+    // the packed path: identical verdict, exploration shape and
+    // violations on both sides.
+    ProgramImage image;
+    Policy policy;
+    if (GetParam() == kRtosProtected) {
+        const MicroBenchmark rtos = rtosProtected();
+        image = assembleSource(rtos.source);
+        policy = rtos.policy;
+    } else {
+        const Workload &w = workloadByName(GetParam());
+        image = w.image();
+        policy = w.policy();
+    }
+    auto backendGauge = [] {
+        return stats::Registry::instance().snapshot().value(
+            "sim.backend");
+    };
 
-        IftEngine eventEngine(*soc, w.policy(), EngineConfig{});
-        EngineResult re = eventEngine.run(w.image());
+    // GLIFS_SIM_INTERP is read where run() builds its Simulator.
+    setenv("GLIFS_SIM_INTERP", "1", 1);
+    IftEngine oracleEngine(*soc, policy, EngineConfig{});
+    EngineResult ro = oracleEngine.run(image);
+    unsetenv("GLIFS_SIM_INTERP");
+    ASSERT_EQ(backendGauge(), 0.0) << "the oracle did not run";
 
-        EXPECT_EQ(re.verdict(), rs.verdict()) << name;
-        EXPECT_EQ(re.completed, rs.completed) << name;
-        EXPECT_EQ(re.cyclesSimulated, rs.cyclesSimulated) << name;
-        EXPECT_EQ(re.pathsExplored, rs.pathsExplored) << name;
-        EXPECT_EQ(re.branchPoints, rs.branchPoints) << name;
-        EXPECT_EQ(re.merges, rs.merges) << name;
-        EXPECT_EQ(re.subsumptions, rs.subsumptions) << name;
-        EXPECT_EQ(re.violations.size(), rs.violations.size()) << name;
-        EXPECT_EQ(re.taintedGates, rs.taintedGates) << name;
-        for (size_t i = 0;
-             i < re.violations.size() && i < rs.violations.size();
-             ++i) {
-            EXPECT_EQ(re.violations[i].kind, rs.violations[i].kind)
-                << name << " violation " << i;
-        }
+    IftEngine packedEngine(*soc, policy, EngineConfig{});
+    EngineResult rp = packedEngine.run(image);
+    ASSERT_EQ(backendGauge(), 1.0);
+
+    EXPECT_EQ(rp.verdict(), ro.verdict());
+    EXPECT_EQ(rp.completed, ro.completed);
+    EXPECT_EQ(rp.cyclesSimulated, ro.cyclesSimulated);
+    EXPECT_EQ(rp.pathsExplored, ro.pathsExplored);
+    EXPECT_EQ(rp.branchPoints, ro.branchPoints);
+    EXPECT_EQ(rp.merges, ro.merges);
+    EXPECT_EQ(rp.subsumptions, ro.subsumptions);
+    EXPECT_EQ(rp.taintedGates, ro.taintedGates);
+    ASSERT_EQ(rp.violations.size(), ro.violations.size());
+    for (size_t i = 0; i < rp.violations.size(); ++i) {
+        const Violation &p = rp.violations[i];
+        const Violation &o = ro.violations[i];
+        EXPECT_EQ(p.kind, o.kind) << "violation " << i;
+        EXPECT_EQ(p.instrAddr, o.instrAddr) << "violation " << i;
+        EXPECT_EQ(p.detail, o.detail) << "violation " << i;
+        EXPECT_EQ(p.count, o.count) << "violation " << i;
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(Workloads, SimEventSoc,
+                         ::testing::ValuesIn(engineWorkloads()),
+                         [](const auto &info) { return info.param; });
 
 } // namespace
 } // namespace glifs
