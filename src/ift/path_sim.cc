@@ -101,12 +101,8 @@ PathSim::busHasX(const Bus &bus) const
 void
 PathSim::accumulateTaint(BitPlane &plane) const
 {
-    const auto &nets = sim.state().rawNets();
-    auto &words = plane.words();
-    for (size_t i = 0; i < nets.size(); ++i) {
-        if (nets[i].taint)
-            words[i / 64] |= 1ULL << (i % 64);
-    }
+    const SignalState &st = sim.state();
+    st.orTaintIntoNets(st.netPlanes(), plane);
 }
 
 std::vector<unsigned>
@@ -298,12 +294,19 @@ SegmentResult
 PathSim::continueSegment(const SegmentHooks &hooks)
 {
     SegmentResult res;
-    if (cfg.trackTaintedNets)
-        res.taintDelta = BitPlane(soc.netlist().numNets());
+    // Taint is ORed a slot-order plane word at a time every cycle (only
+    // .tnt is used) and permuted into the net-order taintDelta once, at
+    // the segment end.
+    std::vector<packed::Planes> slotTaint(
+        cfg.trackTaintedNets ? sim.state().netPlanes().size() : 0);
     // The log sees absolute cycles (its trace instants carry them);
     // the result is rebased to segment-relative on the way out.
     ViolationLog seglog;
     auto finish = [&] {
+        if (cfg.trackTaintedNets) {
+            res.taintDelta = BitPlane(soc.netlist().numNets());
+            sim.state().orTaintIntoNets(slotTaint, res.taintDelta);
+        }
         res.violations = seglog.list();
         for (Violation &v : res.violations)
             v.firstCycle -= hooks.cycleBase;
@@ -335,8 +338,9 @@ PathSim::continueSegment(const SegmentHooks &hooks)
         ++res.cycles;
         if (hooks.cycleCharged)
             hooks.cycleCharged();
-        if (cfg.trackTaintedNets)
-            accumulateTaint(res.taintDelta);
+        const std::vector<packed::Planes> &live = sim.state().netPlanes();
+        for (size_t w = 0; w < slotTaint.size(); ++w)
+            slotTaint[w].tnt |= live[w].tnt;
 
         const uint64_t cycle = hooks.cycleBase + res.cycles;
         const uint16_t instr_addr =

@@ -186,7 +186,8 @@ class PathSim
 
     bool busHasX(const Bus &bus) const;
 
-    /** OR this cycle's net taints into @p plane. */
+    /** OR the live taint of every net into the net-order @p plane
+     *  (bit n = net n). */
     void accumulateTaint(BitPlane &plane) const;
 
     /** Any unknown PC bit in the simulator's current state: the

@@ -121,10 +121,9 @@ SymState::capture(const SymLayout &layout, const SignalState &sigs)
     uint64_t *t = taint.words().data();
     // Flops hold slots [0, dffNets().size()), memories follow, each
     // copied from its planes as shifted words.
-    const std::vector<Signal> &nets = sigs.rawNets();
     const std::vector<NetId> &dffs = layout.dffNets();
     for (size_t i = 0; i < dffs.size(); ++i)
-        packSlot(k, v, t, i, nets[dffs[i]]);
+        packSlot(k, v, t, i, sigs.net(dffs[i]));
     for (const auto &[mem, base] : layout.mems())
         sigs.mem(mem).storeTo(known, value, taint, base);
 }

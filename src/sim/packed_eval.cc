@@ -12,33 +12,9 @@ PackedEval::PackedEval(const Netlist &nl,
     : cn(compileNetlist(nl, order)),
       numUnits(static_cast<uint32_t>(cn.units.size()))
 {
-    vlo.assign(cn.planeWords, 0);
-    vhi.assign(cn.planeWords, 0);
-    vtnt.assign(cn.planeWords, 0);
     unitDirty.assign((cn.units.size() + 63) / 64, 0);
     dffDirty.assign((cn.dffWords.size() + 63) / 64, 0);
     dffNextQ.resize(cn.dffWords.size());
-    changedNets.reserve(256);
-}
-
-void
-PackedEval::importState(const SignalState &sigs)
-{
-    std::fill(vlo.begin(), vlo.end(), 0);
-    std::fill(vhi.begin(), vhi.end(), 0);
-    std::fill(vtnt.begin(), vtnt.end(), 0);
-    const std::vector<Signal> &nets = sigs.rawNets();
-    for (NetId n = 0; n < nets.size(); ++n) {
-        const Signal &s = nets[n];
-        const uint32_t slot = cn.slotOfNet[n];
-        const uint64_t bit = 1ULL << (slot & 63);
-        if (s.value != Tern::One)
-            vlo[slot >> 6] |= bit;
-        if (s.value != Tern::Zero)
-            vhi[slot >> 6] |= bit;
-        if (s.taint)
-            vtnt[slot >> 6] |= bit;
-    }
 }
 
 void
@@ -49,74 +25,78 @@ PackedEval::clearAllDirty()
 }
 
 Planes
-PackedEval::gather(const OpRange &r) const
+PackedEval::gather(const OpRange &r,
+                   const std::vector<Planes> &planes) const
 {
     Planes p;
     for (const PlaneOp &op : cn.opsOf(r)) {
+        const Planes &src = planes[op.word];
         if (op.rot & PlaneOp::kBroadcast) {
             const unsigned b = op.rot & 63;
-            p.lo |= (0 - ((vlo[op.word] >> b) & 1)) & op.mask;
-            p.hi |= (0 - ((vhi[op.word] >> b) & 1)) & op.mask;
-            p.tnt |= (0 - ((vtnt[op.word] >> b) & 1)) & op.mask;
+            p.lo |= (0 - ((src.lo >> b) & 1)) & op.mask;
+            p.hi |= (0 - ((src.hi >> b) & 1)) & op.mask;
+            p.tnt |= (0 - ((src.tnt >> b) & 1)) & op.mask;
         } else {
-            p.lo |= std::rotl(vlo[op.word], op.rot) & op.mask;
-            p.hi |= std::rotl(vhi[op.word], op.rot) & op.mask;
-            p.tnt |= std::rotl(vtnt[op.word], op.rot) & op.mask;
+            p.lo |= std::rotl(src.lo, op.rot) & op.mask;
+            p.hi |= std::rotl(src.hi, op.rot) & op.mask;
+            p.tnt |= std::rotl(src.tnt, op.rot) & op.mask;
         }
     }
     return p;
 }
 
 size_t
-PackedEval::storeWord(uint32_t w, uint64_t mask, const Planes &out)
+PackedEval::storeWord(std::vector<Planes> &planes, uint32_t w,
+                      uint64_t mask, const Planes &out, bool track)
 {
-    const uint64_t nLo = (vlo[w] & ~mask) | (out.lo & mask);
-    const uint64_t nHi = (vhi[w] & ~mask) | (out.hi & mask);
-    const uint64_t nTnt = (vtnt[w] & ~mask) | (out.tnt & mask);
-    const uint64_t valueDiff = (vlo[w] ^ nLo) | (vhi[w] ^ nHi);
-    uint64_t diff = valueDiff | (vtnt[w] ^ nTnt);
+    Planes &cur = planes[w];
+    const Planes next = {(cur.lo & ~mask) | (out.lo & mask),
+                         (cur.hi & ~mask) | (out.hi & mask),
+                         (cur.tnt & ~mask) | (out.tnt & mask)};
+    const uint64_t valueDiff = (cur.lo ^ next.lo) | (cur.hi ^ next.hi);
+    uint64_t diff = valueDiff | (cur.tnt ^ next.tnt);
     if (!diff)
         return 0;
-    vlo[w] = nLo;
-    vhi[w] = nHi;
-    vtnt[w] = nTnt;
-    const uint32_t base = w << 6;
-    while (diff) {
-        changedNets.push_back(
-            cn.slotNet[base +
-                       static_cast<uint32_t>(std::countr_zero(diff))]);
-        diff &= diff - 1;
+    cur = next;
+    if (track) {
+        const uint32_t base = w << 6;
+        while (diff) {
+            markConsumersDirty(
+                cn.slotNet[base +
+                           static_cast<uint32_t>(std::countr_zero(diff))]);
+            diff &= diff - 1;
+        }
     }
     return std::popcount(valueDiff);
 }
 
 size_t
-PackedEval::runBatch(uint32_t batch)
+PackedEval::runBatch(uint32_t batch, SignalState &st, bool track)
 {
     const PackedBatch &pb = cn.batches[batch];
     Planes in[3];
     for (unsigned s = 0; s < pb.arity; ++s)
-        in[s] = gather(pb.gather[s]);
+        in[s] = gather(pb.gather[s], st.netPlanes());
     const Planes out = packed::evalKernel(pb.kind, in[0], in[1], in[2]);
-    return storeWord(pb.outWord, pb.laneMask, out);
+    return storeWord(st.netPlanes(), pb.outWord, pb.laneMask, out, track);
 }
 
 void
-PackedEval::computeDffWord(uint32_t i)
+PackedEval::computeDffWord(uint32_t i, const SignalState &st)
 {
     const DffWord &dw = cn.dffWords[i];
-    const Planes q = {vlo[dw.qWord], vhi[dw.qWord], vtnt[dw.qWord]};
-    dffNextQ[i] = packed::dffNextKernel(gather(dw.gatherD),
-                                        gather(dw.gatherRst),
-                                        gather(dw.gatherEn), q,
-                                        dw.rstVal);
+    const std::vector<Planes> &planes = st.netPlanes();
+    dffNextQ[i] = packed::dffNextKernel(
+        gather(dw.gatherD, planes), gather(dw.gatherRst, planes),
+        gather(dw.gatherEn, planes), planes[dw.qWord], dw.rstVal);
 }
 
 size_t
-PackedEval::commitDffWord(uint32_t i)
+PackedEval::commitDffWord(uint32_t i, SignalState &st, bool track)
 {
     const DffWord &dw = cn.dffWords[i];
-    return storeWord(dw.qWord, dw.laneMask, dffNextQ[i]);
+    return storeWord(st.netPlanes(), dw.qWord, dw.laneMask, dffNextQ[i],
+                     track);
 }
 
 } // namespace glifs

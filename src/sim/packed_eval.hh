@@ -2,20 +2,17 @@
  * @file
  * Execution engine for the compiled bit-packed netlist program.
  *
- * Holds the plane arrays (lo / hi / tnt over the compiler's permuted
- * slot space -- see netlist/compile.hh), the unit- and dff-word dirty
- * bitsets and the staged flip-flop next states, and executes the
- * CompiledNetlist. The Simulator drives it: it decides which units
- * run (event-driven drain or full pass), interprets the memory
- * read/write ports, and mirrors every changed net back into the
- * scalar SignalState so the rest of the system keeps a single
- * readable source of truth.
+ * Holds the compiled program (netlist/compile.hh), the unit- and
+ * dff-word dirty bitsets and the staged flip-flop next states, and
+ * executes the CompiledNetlist on the net planes of a SignalState laid
+ * out on the program's slot map (program().slotOfNet). The Simulator
+ * drives it: it decides which units run (event-driven drain or full
+ * pass) and interprets the memory read/write ports.
  *
- * Coherence contract: whenever the planes are valid (the Simulator's
- * planesValid flag), every net's slot equals sigs.net(net). The run
- * methods report the nets they changed through changedNets so the
- * caller can mirror them; writes coming from outside go through
- * setNetPlanes().
+ * Coherence contract: the SignalState's planes are the only store of
+ * net values. A tracked store marks the consumers of every lane it
+ * changes; writes from outside (Simulator::setNet) mark their own, or
+ * are covered by an untracked full settle.
  */
 
 #ifndef GLIFS_SIM_PACKED_EVAL_HH
@@ -31,40 +28,13 @@
 namespace glifs
 {
 
-/** Plane storage + executor for one compiled netlist. */
+/** Executor + dirty sets for one compiled netlist. */
 class PackedEval
 {
   public:
     PackedEval(const Netlist &nl, const std::vector<EvalStep> &order);
 
     const CompiledNetlist &program() const { return cn; }
-
-    /** Rebuild every net's slot from @p sigs (planes become valid). */
-    void importState(const SignalState &sigs);
-
-    /** Overwrite one net's slot (planes must be valid). */
-    void
-    setNetPlanes(NetId net, const Signal &s)
-    {
-        const uint32_t slot = cn.slotOfNet[net];
-        const size_t w = slot >> 6;
-        const uint64_t bit = 1ULL << (slot & 63);
-        vlo[w] = (vlo[w] & ~bit) | (s.value != Tern::One ? bit : 0);
-        vhi[w] = (vhi[w] & ~bit) | (s.value != Tern::Zero ? bit : 0);
-        vtnt[w] = (vtnt[w] & ~bit) | (s.taint ? bit : 0);
-    }
-
-    /** Decode one net's slot back into a Signal. */
-    Signal
-    signalAt(NetId net) const
-    {
-        const uint32_t slot = cn.slotOfNet[net];
-        const unsigned lane = slot & 63;
-        const bool lo = (vlo[slot >> 6] >> lane) & 1;
-        const bool hi = (vhi[slot >> 6] >> lane) & 1;
-        return {lo ? (hi ? Tern::X : Tern::Zero) : Tern::One,
-                static_cast<bool>((vtnt[slot >> 6] >> lane) & 1)};
-    }
 
     // --- dirty tracking ----------------------------------------------
     /** Mark one CSR target: a unit, or units.size()+i for dff word i. */
@@ -111,38 +81,31 @@ class PackedEval
 
     // --- execution ---------------------------------------------------
     /**
-     * Gather, apply the kernel and store one batch's output word.
-     * Output nets whose signal changed are appended to changedNets;
-     * the return value is the number of lanes whose *value* toggled
-     * (for the energy model's per-kind toggle counters).
+     * Gather, apply the kernel and store one batch's output word into
+     * @p st. With @p track, the consumers of every output net whose
+     * signal changed are marked dirty. Returns the number of lanes
+     * whose *value* toggled (for the energy model's per-kind toggle
+     * counters).
      */
-    size_t runBatch(uint32_t batch);
+    size_t runBatch(uint32_t batch, SignalState &st, bool track);
 
     /**
      * Stage dff word @p i's next state from the current (settled)
      * planes. Nothing is written back until commitDffWord(), so the
      * clock edge stays atomic exactly like the interpreted path.
      */
-    void computeDffWord(uint32_t i);
+    void computeDffWord(uint32_t i, const SignalState &st);
 
     /**
-     * Write dff word @p i's staged next state into its Q word.
-     * Changed Q nets are appended to changedNets; returns the number
-     * of value toggles.
+     * Write dff word @p i's staged next state into its Q word, marking
+     * the consumers of changed Q nets with @p track; returns the
+     * number of value toggles.
      */
-    size_t commitDffWord(uint32_t i);
-
-    /** Change report of the last runBatch()/commitDffWord() calls. */
-    std::vector<NetId> changedNets;
+    size_t commitDffWord(uint32_t i, SignalState &st, bool track);
 
   private:
     CompiledNetlist cn;
     uint32_t numUnits = 0;
-
-    // Plane-slot storage; bit b of word s>>6 is slot s.
-    std::vector<uint64_t> vlo;
-    std::vector<uint64_t> vhi;
-    std::vector<uint64_t> vtnt;
 
     std::vector<uint64_t> unitDirty;
     std::vector<uint64_t> dffDirty;
@@ -150,15 +113,17 @@ class PackedEval
     /** Staged next-state per DffWord (valid between compute/commit). */
     std::vector<packed::Planes> dffNextQ;
 
-    packed::Planes gather(const OpRange &r) const;
+    packed::Planes gather(const OpRange &r,
+                          const std::vector<packed::Planes> &p) const;
 
     /**
-     * Replace the bits of word @p w under @p mask with @p out, with
-     * change detection: changed nets are appended to changedNets.
-     * Returns the value-toggle count.
+     * Replace the bits of plane word @p w under @p mask with @p out.
+     * With @p track, the consumers of every changed slot are marked
+     * dirty straight from the word's diff mask. Returns the
+     * value-toggle count.
      */
-    size_t storeWord(uint32_t w, uint64_t mask,
-                     const packed::Planes &out);
+    size_t storeWord(std::vector<packed::Planes> &planes, uint32_t w,
+                     uint64_t mask, const packed::Planes &out, bool track);
 };
 
 } // namespace glifs

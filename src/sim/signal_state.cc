@@ -1,13 +1,42 @@
 #include "sim/signal_state.hh"
 
+#include <algorithm>
+#include <numeric>
+
 #include "base/logging.hh"
 
 namespace glifs
 {
 
-SignalState::SignalState(const Netlist &nl)
+namespace
 {
-    netSignals.assign(nl.numNets(), Signal{Tern::X, false});
+
+std::vector<uint32_t>
+identitySlots(size_t nets)
+{
+    std::vector<uint32_t> slots(nets);
+    std::iota(slots.begin(), slots.end(), 0u);
+    return slots;
+}
+
+} // namespace
+
+SignalState::SignalState(const Netlist &nl)
+    : SignalState(nl, identitySlots(nl.numNets()),
+                  (nl.numNets() + 63) / 64)
+{
+}
+
+SignalState::SignalState(const Netlist &nl,
+                         std::vector<uint32_t> slot_of_net,
+                         size_t plane_words)
+    : slotOfNet(std::move(slot_of_net)),
+      planes(plane_words)
+{
+    GLIFS_ASSERT(slotOfNet.size() == nl.numNets(),
+                 "SignalState: slot map size mismatch");
+    for (NetId n = 0; n < nl.numNets(); ++n)
+        setNet(n, Signal{Tern::X, false});
     memories.reserve(nl.numMemories());
     for (MemId m = 0; m < nl.numMemories(); ++m) {
         const MemoryDecl &decl = nl.memory(m);
@@ -16,7 +45,24 @@ SignalState::SignalState(const Netlist &nl)
     // Constant nets hold their value from the start.
     for (const Gate &g : nl.gates()) {
         if (g.type == GateType::Const)
-            netSignals[g.out] = sigBool(g.constVal);
+            setNet(g.out, sigBool(g.constVal));
+    }
+}
+
+void
+SignalState::orTaintIntoNets(std::span<const packed::Planes> slots,
+                             BitPlane &nets) const
+{
+    // Each net-order word is built in a register and stored once.
+    std::vector<uint64_t> &out = nets.words();
+    for (size_t base = 0; base < slotOfNet.size(); base += 64) {
+        const size_t end = std::min(slotOfNet.size(), base + 64);
+        uint64_t word = 0;
+        for (size_t n = base; n < end; ++n) {
+            const uint32_t s = slotOfNet[n];
+            word |= ((slots[s >> 6].tnt >> (s & 63)) & 1ULL) << (n - base);
+        }
+        out[base >> 6] |= word;
     }
 }
 

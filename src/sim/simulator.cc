@@ -91,7 +91,7 @@ envInterp()
 } // namespace
 
 Simulator::Simulator(const Netlist &netlist)
-    : nl(netlist), order(levelize(netlist)), sigs(netlist),
+    : nl(netlist), order(levelize(netlist)),
       backendSel(envInterp() ? SimBackend::Interp : SimBackend::Packed)
 {
     dffNextScratch.reserve(nl.dffs().size());
@@ -99,12 +99,22 @@ Simulator::Simulator(const Netlist &netlist)
     activeWrites.reserve(nl.numMemories());
     if (backendSel == SimBackend::Packed)
         packed = std::make_unique<PackedEval>(nl, order);
+    sigs = emptyState();
     simStats().backend.set(backendSel == SimBackend::Packed ? 1 : 0);
 }
 
 Simulator::Simulator(Simulator &&) noexcept = default;
 
 Simulator::~Simulator() = default;
+
+SignalState
+Simulator::emptyState() const
+{
+    if (backendSel == SimBackend::Interp)
+        return SignalState(nl);
+    const CompiledNetlist &cn = packed->program();
+    return SignalState(nl, cn.slotOfNet, cn.planeWords);
+}
 
 void
 Simulator::setBackend(SimBackend b)
@@ -114,6 +124,13 @@ Simulator::setBackend(SimBackend b)
     backendSel = b;
     if (b == SimBackend::Packed && !packed)
         packed = std::make_unique<PackedEval>(nl, order);
+    // Re-lay every net onto the new path's slot map, once.
+    SignalState moved = emptyState();
+    for (NetId n = 0; n < nl.numNets(); ++n)
+        moved.setNet(n, sigs.net(n));
+    for (MemId m = 0; m < nl.numMemories(); ++m)
+        moved.mem(m) = std::move(sigs.mem(m));
+    sigs = std::move(moved);
     // The oracle tracks nothing, so the packed path cannot know what
     // changed while it was away; start from a clean slate.
     markAllDirty();
@@ -126,14 +143,7 @@ Simulator::setNet(NetId net, const Signal &s)
     if (sigs.net(net) == s)
         return;
     sigs.setNet(net, s);
-    if (backendSel == SimBackend::Interp)
-        return;
-    // Keep the planes coherent whenever they are valid, even while
-    // allDirty suppresses dirty tracking (e.g. an override between a
-    // stale-plane import and the next settle).
-    if (planesValid)
-        packed->setNetPlanes(net, s);
-    if (allDirty)
+    if (backendSel == SimBackend::Interp || allDirty)
         return;
     // A driven net must be recomputed from its driver at the next
     // settle, so the override behaves exactly like under the oracle
@@ -191,12 +201,19 @@ Simulator::readPort(MemId m)
 }
 
 void
-Simulator::evalMemRead(MemId m)
+Simulator::evalMemRead(MemId m, bool track)
 {
     const MemoryDecl &decl = nl.memory(m);
     const MemWord data = readPort(m);
-    for (unsigned b = 0; b < decl.width; ++b)
-        sigs.setNet(decl.readData[b], data.bit(b));
+    for (unsigned b = 0; b < decl.width; ++b) {
+        const NetId rd = decl.readData[b];
+        const Signal s = data.bit(b);
+        if (sigs.net(rd) == s)
+            continue;
+        sigs.setNet(rd, s);
+        if (track)
+            packed->markConsumersDirty(rd);
+    }
 }
 
 void
@@ -208,7 +225,7 @@ Simulator::evalFull()
     for (const EvalStep &step : order) {
         if (step.kind == EvalStep::Kind::MemRead) {
             ++st.memReadEvals;
-            evalMemRead(step.index);
+            evalMemRead(step.index, /*track=*/false);
             continue;
         }
         evalGate(step.index, glift);
@@ -318,42 +335,16 @@ Simulator::runUnitPacked(uint32_t unit, bool track, size_t &evaluated,
     const EvalUnit &u = pe.program().units[unit];
     if (u.kind == EvalUnit::Kind::MemRead) {
         ++simStats().memReadEvals;
-        evalMemReadPacked(u.index, track);
+        evalMemRead(u.index, track);
         ++evaluated;
         return;
     }
     const PackedBatch &pb = pe.program().batches[u.index];
-    pe.changedNets.clear();
-    const size_t tog = pe.runBatch(u.index);
+    const size_t tog = pe.runBatch(u.index, sigs, track);
     ++wordEvals;
     evaluated += pb.lanes;
     if (togglesOn)
         toggles.combToggles[static_cast<size_t>(pb.kind)] += tog;
-    // Mirror into the scalar state (the readable source of truth) and
-    // propagate through the compiled consumer index.
-    for (NetId n : pe.changedNets) {
-        sigs.setNet(n, pe.signalAt(n));
-        if (track)
-            pe.markConsumersDirty(n);
-    }
-}
-
-void
-Simulator::evalMemReadPacked(MemId m, bool track)
-{
-    PackedEval &pe = *packed;
-    const MemoryDecl &decl = nl.memory(m);
-    const MemWord data = readPort(m);
-    for (unsigned b = 0; b < decl.width; ++b) {
-        const NetId rd = decl.readData[b];
-        const Signal s = data.bit(b);
-        if (sigs.net(rd) == s)
-            continue;
-        sigs.setNet(rd, s);
-        pe.setNetPlanes(rd, s);
-        if (track)
-            pe.markConsumersDirty(rd);
-    }
 }
 
 void
@@ -361,11 +352,6 @@ Simulator::evalCombPacked()
 {
     SimStats &st = simStats();
     PackedEval &pe = *packed;
-    if (!planesValid) {
-        pe.importState(sigs);
-        planesValid = true;
-    }
-
     size_t evaluated = 0;  // gate lanes + mem read ports actually run
     size_t wordEvals = 0;
     const size_t numUnits = pe.program().units.size();
@@ -408,57 +394,42 @@ void
 Simulator::clockEdgePacked()
 {
     PackedEval &pe = *packed;
-    // clockEdge() may legally run while the planes are stale (e.g. a
-    // restore + override sequence that never settled); latch from a
-    // fresh mirror of the scalar state, exactly what interp reads.
-    if (!planesValid) {
-        pe.importState(sigs);
-        planesValid = true;
-    }
+    // clockEdge() may run with no settle after a bulk write (a restore
+    // plus override): it latches from the planes as they stand, exactly
+    // what the oracle reads, and every flip-flop word latches.
     const bool track = !allDirty;
+    if (!track)
+        pe.markAllDffDirty();
 
     // Select the flip-flop words to latch. A word none of whose
     // D/RST/EN/Q nets changed since its last computation latches its
     // own held value again -- skipping it is exact, not approximate.
     dffRunScratch.clear();
     std::vector<uint64_t> &dd = pe.dffDirtyWords();
-    if (track) {
-        for (size_t w = 0; w < dd.size(); ++w) {
-            uint64_t bits = dd[w];
-            dd[w] = 0;
-            while (bits) {
-                dffRunScratch.push_back(static_cast<uint32_t>(
-                    (w << 6) +
-                    static_cast<unsigned>(std::countr_zero(bits))));
-                bits &= bits - 1;
-            }
+    for (size_t w = 0; w < dd.size(); ++w) {
+        uint64_t bits = dd[w];
+        dd[w] = 0;
+        while (bits) {
+            dffRunScratch.push_back(static_cast<uint32_t>(
+                (w << 6) + static_cast<unsigned>(std::countr_zero(bits))));
+            bits &= bits - 1;
         }
-    } else {
-        std::fill(dd.begin(), dd.end(), 0);
-        for (uint32_t i = 0; i < pe.program().dffWords.size(); ++i)
-            dffRunScratch.push_back(i);
     }
 
     // Stage everything -- flip-flop next states and memory write-port
     // updates -- before committing anything, so the edge is atomic.
     for (uint32_t i : dffRunScratch)
-        pe.computeDffWord(i);
+        pe.computeDffWord(i, sigs);
     stageMemWrites();
 
-    pe.changedNets.clear();
-    size_t tog = 0;
-    for (uint32_t i : dffRunScratch)
-        tog += pe.commitDffWord(i);
-    if (togglesOn)
-        toggles.dffToggles += tog;
-    // Mirror changed Q nets; their consumers seed the next settle and
+    // The consumers of changed Q nets seed the next settle and
     // (through the Q entries of the consumer index) re-arm the dff
     // words that must latch again next edge.
-    for (NetId n : pe.changedNets) {
-        sigs.setNet(n, pe.signalAt(n));
-        if (track)
-            pe.markConsumersDirty(n);
-    }
+    size_t tog = 0;
+    for (uint32_t i : dffRunScratch)
+        tog += pe.commitDffWord(i, sigs, track);
+    if (togglesOn)
+        toggles.dffToggles += tog;
 
     SimStats &st = simStats();
     ++st.clockEdges;

@@ -66,34 +66,22 @@ class Simulator
     ~Simulator();
 
     const Netlist &netlist() const { return nl; }
+    /** Every net and memory cell: the one store of both paths, its
+     *  net planes on the compiled slot map (packed) or the identity
+     *  map (oracle). */
     SignalState &state() { return sigs; }
     const SignalState &state() const { return sigs; }
-
-    /** Replace the whole simulation state (used by symbolic restore). */
-    void
-    setState(const SignalState &s)
-    {
-        sigs = s;
-        markAllDirty();
-    }
-
-    void
-    setState(SignalState &&s)
-    {
-        sigs = std::move(s);
-        markAllDirty();
-    }
 
     /** Drive a primary input (or any undriven net). */
     void setInput(NetId net, const Signal &s) { setNet(net, s); }
 
     /**
-     * Tracked override of any net. A change marks the net's consumer
-     * units dirty; if a combinational gate or memory read port drives
-     * the net, its unit is marked too, so the override is visible to
-     * the next clock edge and gone after the next evalComb(), exactly
-     * as under the oracle, which recomputes every driven net each
-     * settle.
+     * Tracked override of any net's slot. A change marks the net's
+     * consumer units dirty; if a combinational gate or memory read
+     * port drives the net, its unit is marked too, so the override is
+     * visible to the next clock edge and gone after the next
+     * evalComb(), exactly as under the oracle, which recomputes every
+     * driven net each settle. Under markAllDirty() nothing is marked.
      */
     void setNet(NetId net, const Signal &s);
 
@@ -111,20 +99,17 @@ class Simulator
 
     /**
      * Invalidate the whole dirty set: the next evalComb() runs every
-     * compiled unit once, untracked. Required after any bulk mutation
-     * of the SignalState that bypasses the tracked setters (symbolic
-     * state restore, checkpoint resume, *-logic saturation).
+     * compiled unit once, untracked, and the next edge latches every
+     * flip-flop. Required after any bulk write to state() that
+     * bypasses the tracked setters (symbolic state restore, checkpoint
+     * resume, *-logic saturation); the written values are already in
+     * the planes, only the schedule is reset.
      */
-    void
-    markAllDirty()
-    {
-        allDirty = true;
-        // The packed planes may no longer mirror the SignalState;
-        // re-import before the next packed pass.
-        planesValid = false;
-    }
+    void markAllDirty() { allDirty = true; }
 
-    /** Path selection (default Packed; also GLIFS_SIM_INTERP=1). */
+    /** Path selection (default Packed; also GLIFS_SIM_INTERP=1). A
+     *  switch re-lays the net planes onto the new path's slot map and
+     *  marks everything dirty. */
     SimBackend backend() const { return backendSel; }
     void setBackend(SimBackend b);
 
@@ -179,8 +164,6 @@ class Simulator
     std::unique_ptr<PackedEval> packed;
     /** Next settle must run every unit, untracked. */
     bool allDirty = true;
-    /** Planes mirror the SignalState net-for-net (else re-import). */
-    bool planesValid = false;
 
     // --- reusable scratch buffers (no per-call heap allocation) ------
     std::vector<Signal> addrScratch;
@@ -201,20 +184,22 @@ class Simulator
     /** Decode memory @p m's read address and read the port's word. */
     MemWord readPort(MemId m);
 
+    /** A fresh state laid out on the current path's slot map. */
+    SignalState emptyState() const;
+    /** Memory @p m's read port; @p track (packed) marks consumers. */
+    void evalMemRead(MemId m, bool track);
+
     // --- oracle path -------------------------------------------------
     void evalGate(GateId g, const GliftTables &glift);
-    void evalMemRead(MemId m);
     /** The full levelized sweep. */
     void evalFull();
 
     // --- packed path -------------------------------------------------
     void evalCombPacked();
     void clockEdgePacked();
-    /** Run one compiled unit; mirrors changed nets into sigs. */
+    /** Run one compiled unit on sigs' planes. */
     void runUnitPacked(uint32_t unit, bool track, size_t &evaluated,
                        size_t &wordEvals);
-    /** Memory read port with plane mirroring + unit marking. */
-    void evalMemReadPacked(MemId m, bool track);
     /** Stage all memory write ports (shared by both edge paths). */
     void stageMemWrites();
     /** Commit memory @p m's staged write (shared by both edge paths). */

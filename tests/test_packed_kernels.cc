@@ -3,7 +3,8 @@
  * Exhaustive equivalence proofs for the bit-packed GLIFT kernels
  * (sim/packed_kernels.hh) against the table-driven scalar reference
  * (logic/glift.hh), plus structural invariants of the netlist
- * compiler (netlist/compile.hh).
+ * compiler (netlist/compile.hh) and the plane encoding of net values
+ * on both slot maps (sim/signal_state.hh).
  *
  * The signal domain is finite -- six encodings ({0,1,X} x taint) per
  * input -- so the kernel tests enumerate *every* input combination of
@@ -17,12 +18,14 @@
 #include <random>
 #include <vector>
 
+#include "ift/path_sim.hh"
+#include "ift/policy.hh"
 #include "logic/glift.hh"
 #include "logic/ternary.hh"
 #include "netlist/compile.hh"
 #include "netlist/levelize.hh"
-#include "sim/packed_eval.hh"
 #include "sim/packed_kernels.hh"
+#include "sim/signal_state.hh"
 #include "soc/soc.hh"
 
 namespace glifs
@@ -231,34 +234,76 @@ TEST(CompiledNetlist, SocProgramInvariantsHold)
     EXPECT_EQ(dffLanes, nl.dffs().size());
 }
 
-TEST(PackedEvalState, ImportRoundTripsEverySignal)
+TEST(PackedEvalState, SignalStateRoundTripsOnBothMaps)
 {
+    // The net planes encode every signal on either slot map: the
+    // identity map of SignalState(nl) (the oracle's) and the compiled
+    // permutation (the packed path's, reached via setBackend).
     Soc soc;
     const Netlist &nl = soc.netlist();
-    const std::vector<EvalStep> order = levelize(nl);
-    PackedEval pe(nl, order);
-
-    SignalState sigs(nl);
+    const ProgramImage image;
+    PathSim ps(soc, benchmarkPolicy(0x10, 0x7f), EngineConfig{}, image);
+    const CompiledNetlist cn = compileNetlist(nl, levelize(nl));
+    const Tern kVals[] = {Tern::Zero, Tern::One, Tern::X};
     std::mt19937 rng(99);
-    for (NetId n = 0; n < nl.numNets(); ++n) {
-        const Tern v[] = {Tern::Zero, Tern::One, Tern::X};
-        sigs.setNet(n, Signal{v[rng() % 3], (rng() & 4) != 0});
-    }
-    pe.importState(sigs);
-    for (NetId n = 0; n < nl.numNets(); ++n)
-        ASSERT_EQ(pe.signalAt(n), sigs.net(n)) << "net " << n;
+    auto randSig = [&] {
+        return Signal{kVals[rng() % 3], (rng() & 4) != 0};
+    };
 
-    // Point writes after the import keep the mirror exact.
-    for (int i = 0; i < 1000; ++i) {
-        const NetId n = rng() % nl.numNets();
-        const Tern v[] = {Tern::Zero, Tern::One, Tern::X};
-        const Signal s{v[rng() % 3], (rng() & 4) != 0};
-        sigs.setNet(n, s);
-        pe.setNetPlanes(n, s);
-        ASSERT_EQ(pe.signalAt(n), s);
-    }
+    // A fresh state reads the same through either map.
+    const SignalState identity(nl);
+    const SignalState permuted(nl, cn.slotOfNet, cn.planeWords);
     for (NetId n = 0; n < nl.numNets(); ++n)
-        ASSERT_EQ(pe.signalAt(n), sigs.net(n)) << "net " << n;
+        ASSERT_EQ(identity.net(n), permuted.net(n)) << "net " << n;
+
+    std::vector<Signal> ref;
+    for (const bool compiled : {false, true}) {
+        SCOPED_TRACE(compiled ? "compiled map" : "identity map");
+        ps.sim.setBackend(compiled ? SimBackend::Packed
+                                   : SimBackend::Interp);
+        SignalState &st = ps.sim.state();
+        ASSERT_EQ(st.netPlanes().size(),
+                  compiled ? cn.planeWords : (nl.numNets() + 63) / 64);
+        // The path switch re-laid the previous map's nets.
+        for (NetId n = 0; n < ref.size(); ++n)
+            ASSERT_EQ(st.net(n), ref[n]) << "re-laid net " << n;
+
+        ref.assign(nl.numNets(), Signal{});
+        for (NetId n = 0; n < nl.numNets(); ++n) {
+            ref[n] = randSig();
+            st.setNet(n, ref[n]);
+        }
+        for (NetId n = 0; n < nl.numNets(); ++n)
+            ASSERT_EQ(st.net(n), ref[n]) << "net " << n;
+
+        // A point write changes its own net and no other.
+        for (int i = 0; i < 1000; ++i) {
+            const NetId n = rng() % nl.numNets();
+            ref[n] = randSig();
+            st.setNet(n, ref[n]);
+            for (NetId m = 0; m < nl.numNets(); ++m) {
+                if (!(st.net(m) == ref[m]))
+                    FAIL() << "write " << i << " to net " << n
+                           << " left net " << m << " at "
+                           << st.net(m).str() << ", want "
+                           << ref[m].str();
+            }
+        }
+
+        // accumulateTaint ORs every tainted net into net order and
+        // keeps the bits already set, like a per-net sweep.
+        BitPlane got(nl.numNets());
+        for (int i = 0; i < 50; ++i)
+            got.set(rng() % nl.numNets(), true);
+        BitPlane want = got;
+        for (NetId n = 0; n < nl.numNets(); ++n) {
+            if (ref[n].taint)
+                want.set(n, true);
+        }
+        ps.accumulateTaint(got);
+        for (NetId n = 0; n < nl.numNets(); ++n)
+            ASSERT_EQ(got.get(n), want.get(n)) << "net " << n;
+    }
 }
 
 } // namespace

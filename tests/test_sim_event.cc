@@ -9,8 +9,9 @@
  * the whole levelized schedule through the table interpreter. This
  * file proves it three ways: randomized netlists driven with
  * randomized ternary/tainted stimulus (including mid-cycle net
- * overrides, external memory stores and dirty-set invalidation)
- * stepped as a packed / oracle pair, the IoT430 SoC stepped
+ * overrides, external memory stores, dirty-set invalidation and bulk
+ * state writes: restores and *-logic saturation) stepped as a
+ * packed / oracle pair, the IoT430 SoC stepped
  * symbolically in lockstep comparing SymState captures, and whole
  * analysis-engine runs over every Table-1 kernel and the protected
  * MiniRTOS under GLIFS_SIM_INTERP A/B.
@@ -24,6 +25,7 @@
 #include "assembler/assembler.hh"
 #include "base/stats.hh"
 #include "ift/engine.hh"
+#include "ift/path_sim.hh"
 #include "ift/symstate.hh"
 #include "netlist/netlist.hh"
 #include "sim/simulator.hh"
@@ -260,6 +262,114 @@ TEST(SimEventFuzz, RandomNetlistsMatchFullSweep)
         runDifferential(seed, 150);
 }
 
+/**
+ * Bulk state writes land in the planes directly and only reset the
+ * schedule (markAllDirty). Three patterns, mixed by the seed: a
+ * settled SymState captured, run past and restored; a restore plus a
+ * net override latched by clockEdge() with no settle in between; and
+ * the *-logic saturation of every flop and writable memory cell.
+ */
+void
+runBulkRestore(uint32_t seed, int cycles)
+{
+    std::mt19937 rng(seed);
+    RandomDesign d = buildRandomDesign(rng);
+    Simulator packed(d.nl);
+    Simulator oracle(d.nl);
+    oracle.setBackend(SimBackend::Interp);
+    Simulator *const sims[] = {&packed, &oracle};
+    const SymLayout layout(d.nl);
+    SymState saved(layout);
+    bool haveSaved = false;
+
+    const MemoryDecl &rom = d.nl.memory(d.rom);
+    for (size_t w = 0; w < rom.words; ++w) {
+        const uint64_t v = rng() & ((1ULL << rom.width) - 1);
+        const bool taint = (rng() & 1) != 0;
+        for (Simulator *s : sims)
+            s->setMemWord(d.rom, w, v, taint);
+    }
+
+    for (int c = 0; c < cycles; ++c) {
+        for (NetId in : d.inputs) {
+            if (rng() & 1)
+                continue;
+            const Signal s = randSignal(rng);
+            for (Simulator *sim : sims)
+                sim->setInput(in, s);
+        }
+        for (Simulator *sim : sims)
+            sim->evalComb();
+        ASSERT_TRUE(statesEqual(d.nl, packed, oracle))
+            << "after evalComb, cycle " << c << ", seed " << seed;
+
+        switch (rng() % 6) {
+        case 0: {
+            // A settled state to come back to.
+            saved.capture(layout, packed.state());
+            SymState fromOracle(layout);
+            fromOracle.capture(layout, oracle.state());
+            ASSERT_TRUE(saved == fromOracle)
+                << "capture, cycle " << c << ", seed " << seed;
+            haveSaved = true;
+            break;
+        }
+        case 1:
+            // Jump back to it and settle, like a frontier pop.
+            if (!haveSaved)
+                break;
+            for (Simulator *sim : sims) {
+                saved.restore(layout, sim->state());
+                sim->markAllDirty();
+                sim->evalComb();
+            }
+            ASSERT_TRUE(statesEqual(d.nl, packed, oracle))
+                << "after restore, cycle " << c << ", seed " << seed;
+            break;
+        case 2: {
+            // Restore and override, then latch with no settle between.
+            if (!haveSaved)
+                break;
+            const NetId n = rng() % d.nl.numNets();
+            const Signal s = randSignal(rng);
+            for (Simulator *sim : sims) {
+                saved.restore(layout, sim->state());
+                sim->markAllDirty();
+                sim->setNet(n, s);
+            }
+            break;
+        }
+        case 3:
+            // *-logic saturation (PathSim::starSaturate).
+            for (Simulator *sim : sims) {
+                for (GateId g : d.nl.dffs()) {
+                    sim->state().setNet(d.nl.gate(g).out,
+                                        Signal{Tern::X, true});
+                }
+                sim->state().mem(d.ram).fill(Signal{Tern::X, true});
+                sim->markAllDirty();
+                sim->evalComb();
+            }
+            ASSERT_TRUE(statesEqual(d.nl, packed, oracle))
+                << "after saturation, cycle " << c << ", seed " << seed;
+            break;
+        default:
+            break;
+        }
+
+        for (Simulator *sim : sims)
+            sim->clockEdge();
+        ASSERT_TRUE(statesEqual(d.nl, packed, oracle))
+            << "after clockEdge, cycle " << c << ", seed " << seed;
+    }
+}
+
+TEST(SimEventFuzz, BulkRestoreMatchesOracle)
+{
+    for (uint32_t seed = 1; seed <= 20; ++seed)
+        runBulkRestore(seed, 150);
+}
+
 TEST(SimEventFuzz, BackendSwitchMidRunStaysConsistent)
 {
     std::mt19937 rng(42);
@@ -428,6 +538,64 @@ TEST_F(SimEventSoc, SymbolicLockstepSymStatesMatch)
         }
     }
     ASSERT_TRUE(statesEqual(nl, packed, oracle));
+}
+
+TEST_F(SimEventSoc, PerCycleTaintEqualsSegmentTaintDelta)
+{
+    // runSegment ORs the slot-order taint plane each cycle and permutes
+    // it to net order once, at the segment end; PathSim::accumulateTaint
+    // permutes every cycle. Over 2,000 cycles of protected MiniRTOS
+    // (one path, forks not taken) the two must agree segment by
+    // segment, which is what the perfbench layer replay checks.
+    const MicroBenchmark rtos = rtosProtected();
+    const ProgramImage image = assembleSource(rtos.source);
+    PathSim ps(*soc, rtos.policy, EngineConfig{}, image);
+    ps.loadProgram();
+    ps.setInputs(true);
+    ps.sim.step();
+    SymState start(ps.layout);
+    start.capture(ps.layout, ps.sim.state());
+
+    const size_t nets = soc->netlist().numNets();
+    uint64_t cycles = 0;
+    size_t segments = 0;
+    size_t taintedBits = 0;
+    while (cycles < 2000) {
+        BitPlane perCycle(nets);
+        SegmentHooks hooks;
+        hooks.cycleCharged = [&] { ps.accumulateTaint(perCycle); };
+        // A broken simulator may never commit; stop instead of hanging.
+        uint64_t polls = 0;
+        hooks.poll = [&] {
+            return ++polls > 10000 ? CycleAction::Stop
+                                   : CycleAction::Continue;
+        };
+        SegmentResult res = ps.runSegment(start, hooks);
+        ASSERT_FALSE(res.stopped) << "segment " << segments
+                                  << " ran 10000 cycles without a commit";
+        ASSERT_GT(res.cycles, 0u);
+        cycles += res.cycles;
+        ++segments;
+        ASSERT_EQ(res.taintDelta.size(), nets);
+        for (NetId n = 0; n < nets; ++n) {
+            ASSERT_EQ(perCycle.get(n), res.taintDelta.get(n))
+                << "net " << n << ", segment " << segments;
+            taintedBits += res.taintDelta.get(n);
+        }
+        if (res.halted)
+            break;
+        start = std::move(res.end);
+        if (res.pcUnknown) {
+            bool overflow = false;
+            const std::vector<uint16_t> pcs =
+                ps.candidatePcs(res.endInstr, start, overflow);
+            ASSERT_FALSE(overflow);
+            ASSERT_FALSE(pcs.empty());
+            start = ps.concretizePc(start, pcs.front());
+        }
+    }
+    EXPECT_GE(cycles, 2000u);
+    EXPECT_GT(taintedBits, 0u) << "no taint reached any net";
 }
 
 /** The engine A/B's workloads: every Table-1 kernel, then MiniRTOS. */
