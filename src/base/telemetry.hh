@@ -47,7 +47,8 @@ enum class EventType : uint8_t
     Heartbeat = 2,     ///< periodic progress from the governor poll point
     StatsSnapshot = 3, ///< stats-registry sample (name/value pairs)
     BudgetUsage = 4,   ///< a budget threshold crossing
-    Explore = 5,       ///< parallel-exploration coordinator event
+    // 5 stays reserved: it carried the retired exploration worker
+    // fleet's events, which readers now skip as an unknown type.
 };
 
 /** Printable name of an event type. */
@@ -83,12 +84,6 @@ struct Event
     std::string resource;
     std::string severity;
     std::string detail;
-
-    // Explore (reuses phase/cycles/detail): phase is the event kind
-    // ("ship", "result", "steal", "respawn", "prune"); worker is the
-    // exploration lane index (0-based); cycles carries the segment
-    // cycle count where one applies.
-    uint64_t worker = 0;
 };
 
 /** Upper bound replay will believe for one frame's payload. */

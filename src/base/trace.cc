@@ -81,7 +81,6 @@ Tracer::enable(size_t capacity)
     next = 0;
     count = 0;
     droppedCount = 0;
-    laneNames.clear();
     t0 = std::chrono::steady_clock::now();
     on = true;
 }
@@ -131,8 +130,7 @@ Tracer::push(Event &&e)
 }
 
 void
-Tracer::instant(const char *cat, const char *name, std::string args,
-                uint32_t tid)
+Tracer::instant(const char *cat, const char *name, std::string args)
 {
     if (!on)
         return;
@@ -141,14 +139,13 @@ Tracer::instant(const char *cat, const char *name, std::string args,
     e.cat = cat;
     e.ph = 'i';
     e.tsUs = nowUs();
-    e.tid = tid;
     e.args = std::move(args);
     push(std::move(e));
 }
 
 void
 Tracer::complete(const char *cat, const char *name, uint64_t tsUs,
-                 uint64_t durUs, std::string args, uint32_t tid)
+                 uint64_t durUs, std::string args)
 {
     if (!on)
         return;
@@ -158,23 +155,8 @@ Tracer::complete(const char *cat, const char *name, uint64_t tsUs,
     e.ph = 'X';
     e.tsUs = tsUs;
     e.durUs = durUs;
-    e.tid = tid;
     e.args = std::move(args);
     push(std::move(e));
-}
-
-void
-Tracer::threadName(uint32_t tid, const std::string &label)
-{
-    if (!on)
-        return;
-    for (auto &[id, name] : laneNames) {
-        if (id == tid) {
-            name = label;
-            return;
-        }
-    }
-    laneNames.emplace_back(tid, label);
 }
 
 void
@@ -223,19 +205,12 @@ Tracer::json() const
     oss << "{\n  \"displayTimeUnit\": \"ms\",\n"
         << "  \"traceEvents\": [\n";
     const std::vector<Event> evs = events();
-    // Lane-name metadata rows first, so viewers label the per-worker
-    // exploration lanes before any of their events render.
-    for (const auto &[tid, label] : laneNames) {
-        oss << "    {\"name\": \"thread_name\", \"ph\": \"M\", "
-            << "\"pid\": 1, \"tid\": " << tid << ", \"args\": {"
-            << "\"name\": " << jsonQuote(label) << "}},\n";
-    }
     for (size_t i = 0; i < evs.size(); ++i) {
         const Event &e = evs[i];
         oss << "    {\"name\": " << jsonQuote(e.name)
             << ", \"cat\": " << jsonQuote(e.cat) << ", \"ph\": \""
             << e.ph << "\", \"ts\": " << e.tsUs
-            << ", \"pid\": 1, \"tid\": " << e.tid;
+            << ", \"pid\": 1, \"tid\": 1";
         if (e.ph == 'X')
             oss << ", \"dur\": " << e.durUs;
         if (e.ph == 'i')

@@ -41,7 +41,6 @@ struct Event
     char ph = 'i';       ///< Chrome phase: 'X' span, 'i' instant, 'C' counter
     uint64_t tsUs = 0;   ///< microseconds since enable()
     uint64_t durUs = 0;  ///< span duration ('X' only)
-    uint32_t tid = 1;    ///< Chrome lane; 1 is the main analysis lane
     std::string args;    ///< pre-rendered body of the "args" object
 };
 
@@ -86,19 +85,10 @@ class Tracer
     uint64_t nowUs() const;
 
     void instant(const char *cat, const char *name,
-                 std::string args = {}, uint32_t tid = 1);
+                 std::string args = {});
     void complete(const char *cat, const char *name, uint64_t tsUs,
-                  uint64_t durUs, std::string args = {},
-                  uint32_t tid = 1);
+                  uint64_t durUs, std::string args = {});
     void counter(const char *cat, const char *name, double value);
-
-    /**
-     * Label a trace lane: rendered as a Chrome "thread_name" metadata
-     * row, so per-worker exploration lanes (explore/coordinator.cc)
-     * show up named in chrome://tracing and Perfetto. Relabeling a tid
-     * overwrites; labels survive clear() but not enable().
-     */
-    void threadName(uint32_t tid, const std::string &label);
 
     size_t size() const { return count; }
     uint64_t dropped() const { return droppedCount; }
@@ -126,7 +116,6 @@ class Tracer
 
     bool on = false;
     std::vector<Event> ring;
-    std::vector<std::pair<uint32_t, std::string>> laneNames;
     size_t next = 0;         ///< ring slot for the next event
     size_t count = 0;        ///< live events (<= ring.size())
     uint64_t droppedCount = 0;

@@ -649,18 +649,6 @@ runBatch(const Manifest &manifest, const BatchOptions &options)
                             e.detail.c_str());
             }
             break;
-          case telemetry::EventType::Explore:
-            // Per-worker exploration traffic (ship/steal/respawn/
-            // prune) is interesting at trace granularity, not in the
-            // live status view; the merged Chrome trace already gets
-            // it via the worker's own trace lanes.
-            if (options.verbose &&
-                (e.phase == "steal" || e.phase == "respawn")) {
-                std::printf("[%s] explore: %s worker %llu\n",
-                            run.outcome.name.c_str(), e.phase.c_str(),
-                            static_cast<unsigned long long>(e.worker));
-            }
-            break;
         }
     });
 

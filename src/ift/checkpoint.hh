@@ -86,9 +86,8 @@ struct EngineCheckpoint
 
     /**
      * Append the body (everything after the magic/version/CRC header)
-     * to @p out. Shared by save() and the parallel-exploration work
-     * shipping (explore/protocol.cc); callers reuse the buffer across
-     * encodes to keep the hot path allocation-free.
+     * to @p out. Used by save(); callers that encode repeatedly reuse
+     * the buffer to stay allocation-free.
      */
     void encodeBody(std::string &out) const;
 

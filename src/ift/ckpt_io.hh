@@ -1,13 +1,11 @@
 /**
  * @file
- * Little-endian primitive serialization over in-memory buffers,
- * shared by the engine checkpoint format (ift/checkpoint.cc) and the
- * parallel-exploration wire protocol (explore/protocol.cc).
+ * Little-endian primitive serialization over in-memory buffers, used
+ * by the engine checkpoint format (ift/checkpoint.cc).
  *
- * Writer appends to a caller-provided std::string so hot paths (the
- * checkpoint save loop, segment-result shipping) can reuse one scratch
- * buffer across calls instead of re-allocating an ostringstream per
- * snapshot. Reader is a bounds-checked cursor over a std::string_view;
+ * Writer appends to a caller-provided std::string so a hot path (the
+ * checkpoint save loop) can reuse one scratch buffer across calls
+ * instead of re-allocating an ostringstream per snapshot. Reader is a bounds-checked cursor over a std::string_view;
  * every short read or implausible section length surfaces as one
  * RecoverableError, never a garbage parse.
  */

@@ -13,6 +13,7 @@
 #include "ift/checkpoint.hh"
 #include "ift/engine_stats.hh"
 #include "ift/path_sim.hh"
+#include "ift/segment_memo.hh"
 #include "ift/symstate.hh"
 
 namespace glifs
@@ -91,7 +92,7 @@ namespace
 struct RunCtx
 {
     PathSim ps; ///< sim, layout, checker and the Algorithm-1 helpers
-    const SegmentMemo *memo; ///< segment-result cache, or nullptr
+    SegmentMemo *memo; ///< segment-result cache, or nullptr
 
     ViolationLog log;
     StateTable table;
@@ -112,7 +113,7 @@ struct RunCtx
     std::vector<Degradation> degradations;
 
     RunCtx(const Soc &s, const Policy &p, const EngineConfig &c,
-           const ProgramImage &img, const SegmentMemo *m)
+           const ProgramImage &img, SegmentMemo *m)
         : ps(s, p, c, img), memo(m), gov(c.budgets),
           everTainted(s.netlist().numNets())
     {
@@ -264,7 +265,7 @@ struct RunCtx
                                              .add("cycle", c0 + f.cycle));
             }
             uint32_t cn = tree.addNode(node, f.startPc);
-            stack.push_back({std::move(f.fired), cn, {}});
+            stack.push_back({std::move(f.fired), cn});
         }
 
         if (seg.killed) {
@@ -278,7 +279,7 @@ struct RunCtx
                 // Park the in-flight path back on the frontier so the
                 // snapshot resumes it; it will be popped (and counted)
                 // again.
-                stack.push_back({std::move(seg.end), node, {}});
+                stack.push_back({std::move(seg.end), node});
                 --pathsExplored;
             }
             return std::nullopt;
@@ -389,7 +390,7 @@ struct RunCtx
                 .add("cycle", totalCycles));
         for (uint16_t pc : pcs) {
             uint32_t cn = tree.addNode(node, pc);
-            stack.push_back({ps.concretizePc(cur, pc), cn, {}});
+            stack.push_back({ps.concretizePc(cur, pc), cn});
         }
         es.frontierPeak.set(static_cast<double>(stack.size()));
         gov.noteFrontier(stack.size());
@@ -424,11 +425,8 @@ struct RunCtx
         while (true) {
             const uint64_t c0 = totalCycles;
             hooks.cycleBase = c0;
-            const SegmentResult *hit = nullptr;
-            if (memo) {
-                memo->prefetch(stack);
-                hit = memo->lookup(e, cycleLimit());
-            }
+            const SegmentResult *hit =
+                memo ? memo->find(e.state, cycleLimit()) : nullptr;
             SegmentResult seg;
             if (hit) {
                 // The segment's first governor poll, without loading
@@ -446,10 +444,11 @@ struct RunCtx
                     gov.chargeCycles(seg.cycles);
                     tree.node(node).cycles += seg.cycles;
                 }
-            } else if (live) {
-                seg = ps.continueSegment(hooks);
             } else {
-                seg = ps.runSegment(e.state, hooks);
+                seg = live ? ps.continueSegment(hooks)
+                           : ps.runSegment(e.state, hooks);
+                if (memo)
+                    memo->remember(e.state, seg);
             }
             bool merged = false;
             std::optional<SymState> next =
@@ -457,7 +456,7 @@ struct RunCtx
             if (!next)
                 return;
             live = !hit && !merged;
-            e = FrontierEntry{std::move(*next), node, {}};
+            e = FrontierEntry{std::move(*next), node};
         }
     }
 
@@ -509,8 +508,15 @@ IftEngine::run(const ProgramImage &image)
 }
 
 EngineResult
+IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume)
+{
+    SegmentMemo memo;
+    return run(image, resume, &memo);
+}
+
+EngineResult
 IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume,
-               const SegmentMemo *memo)
+               SegmentMemo *memo)
 {
     GLIFS_TRACE_SCOPE("engine", "run");
     EngineStats &es = engineStats();
@@ -573,7 +579,7 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume,
         ctx.gov.noteStates(ctx.table.size());
         ctx.tree.setNodes(resume->tree);
         for (const auto &[state, node] : resume->frontier)
-            ctx.stack.push_back({state, node, {}});
+            ctx.stack.push_back({state, node});
     } else {
         // Algorithm 1 line 5: propagate the (untainted) reset.
         ctx.ps.setInputs(true);
@@ -585,11 +591,8 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume,
         SymState s0(ctx.ps.layout);
         s0.capture(ctx.ps.layout, ctx.ps.sim.state());
         uint32_t root = ctx.tree.addNode(-1, 0);
-        ctx.stack.push_back({std::move(s0), root, {}});
+        ctx.stack.push_back({std::move(s0), root});
     }
-
-    if (memo)
-        memo->start(fingerprint);
 
     es.setupSeconds.add(secondsSince(t0));
     if (tr.enabled())

@@ -21,9 +21,10 @@
  * PathSim (ift/path_sim.hh, the only per-cycle loop) and applies each
  * segment -- taint, violations, forks, then HALT, state-table visit,
  * branch enumeration or continuation -- in one place. Set-up, resume,
- * the degradation ladder and checkpoint assembly live here too. The
- * parallel explorer (explore/coordinator.hh) runs this same loop with
- * its worker fleet plugged in as a SegmentMemo.
+ * the degradation ladder and checkpoint assembly live here too. A
+ * segment that starts from a state an earlier segment of the run
+ * started from is taken from the run's SegmentMemo
+ * (ift/segment_memo.hh) instead of being simulated again.
  */
 
 #ifndef GLIFS_IFT_ENGINE_HH
@@ -44,7 +45,7 @@ namespace glifs
 {
 
 struct EngineCheckpoint;
-struct SegmentMemo;
+class SegmentMemo;
 
 /** Engine knobs. */
 struct EngineConfig
@@ -205,15 +206,20 @@ class IftEngine
      * by an earlier (interrupted) run of the same image on the same
      * SoC. Throws RecoverableError if the checkpoint does not match.
      * Resuming an unmodified snapshot reproduces the uninterrupted
-     * run's counters and violations exactly.
-     *
-     * @p memo, when set, is asked for a cached result before every
-     * segment is simulated (DESIGN.md §11); hits change how fast the
-     * run goes, never what it reports.
+     * run's counters and violations exactly. The run uses a segment
+     * memo of its own.
      */
     EngineResult run(const ProgramImage &image,
-                     const EngineCheckpoint *resume,
-                     const SegmentMemo *memo = nullptr);
+                     const EngineCheckpoint *resume);
+
+    /**
+     * As above, with the segment memo @p memo: asked for a stored
+     * result before every segment is simulated, and given every
+     * segment simulated (DESIGN.md §11). Hits change how fast the run
+     * goes, never what it reports. nullptr simulates every segment.
+     */
+    EngineResult run(const ProgramImage &image,
+                     const EngineCheckpoint *resume, SegmentMemo *memo);
 
   private:
     const Soc &soc;

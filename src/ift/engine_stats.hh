@@ -1,10 +1,8 @@
 /**
  * @file
  * The engine.* stat catalogue (docs/OBSERVABILITY.md), shared by the
- * serial exploration loop (ift/engine.cc), the segment runner
- * (ift/path_sim.cc) and the parallel coordinator
- * (explore/coordinator.cc) so both exploration modes feed the same
- * counters.
+ * exploration loop (ift/engine.cc) and the segment runner
+ * (ift/path_sim.cc).
  */
 
 #ifndef GLIFS_IFT_ENGINE_STATS_HH

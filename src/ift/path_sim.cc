@@ -316,8 +316,8 @@ PathSim::continueSegment(const SegmentHooks &hooks)
 
     while (true) {
         // The governor-poll point: before the cycle's inputs are
-        // driven. Workers run hook-free; the engine polls its
-        // governor here for cycle-exact budget stops.
+        // driven. The engine polls its governor here for
+        // cycle-exact budget stops.
         if (hooks.poll) {
             CycleAction act = hooks.poll();
             if (act == CycleAction::Stop) {

@@ -6,14 +6,12 @@
  * concrete-PC start state up to the next PC-changing commit, HALT,
  * *-logic abort, or hook-requested stop. The serial engine
  * (ift/engine.cc) runs every path as a chain of segments and applies
- * each one's effects; the exploration workers (explore/worker.cc) run
- * the same segments speculatively. Segments are pure functions of the
- * start state: every simulated value, violation and POR fork depends
+ * each one's effects. Segments are pure functions of the start state: every simulated value, violation and POR fork depends
  * only on the netlist, policy, program image and the start state,
  * never on the engine's global budgets or ladder position (those only
  * affect what the *caller* does with the segment end). That purity is
- * what lets a worker's result stand in for a segment the engine would
- * otherwise simulate (SegmentMemo, DESIGN.md §11).
+ * what lets an earlier result stand in for a segment the engine would
+ * otherwise simulate (ift/segment_memo.hh, DESIGN.md §11).
  *
  * Inside a segment the machine state lives only in the simulator. The
  * per-cycle test for an unknown PC reads the PC flop nets in place;
@@ -89,7 +87,7 @@ enum class CycleAction : uint8_t
  * Optional per-cycle callbacks. `poll` runs at the governor-poll point
  * (before the cycle's inputs are driven); `cycleCharged` runs right
  * after the combinational settle, where the engine charges its cycle
- * counters. Workers run hook-free.
+ * counters. Without hooks a segment runs to its natural end.
  */
 struct SegmentHooks
 {
@@ -102,8 +100,8 @@ struct SegmentHooks
 
     /** Emit an `engine/por_fork` instant at each POR fork as it
      *  happens, on the cycleBase clock. The engine sets it for the
-     *  segments it simulates; a worker's forks are traced by the
-     *  engine when it applies the cached result. */
+     *  segments it simulates; a memo hit's forks are traced by the
+     *  engine when it applies the stored result. */
     bool tracePorForks = false;
 };
 
@@ -111,35 +109,7 @@ struct SegmentHooks
 struct FrontierEntry
 {
     SymState state;
-    uint32_t node = 0;   ///< execution-tree node of the path
-    std::string memoKey; ///< SegmentMemo's key of `state`, set lazily
-};
-
-/**
- * A cache of segment results, consulted by the engine at the start of
- * every segment (the worker fleet of explore/coordinator.cc fills it).
- * A hit is applied exactly like the same segment simulated inline, so
- * the run's verdict, violations and engine counters do not depend on
- * whether or when the cache answers. Function hooks, in the
- * SegmentHooks idiom, keep src/ift independent of src/explore; all
- * three must be set.
- */
-struct SegmentMemo
-{
-    /** Once per run, after set-up and resume validation and before the
-     *  first prefetch, with the run's checkpointFingerprint(). */
-    std::function<void(uint64_t fingerprint)> start;
-
-    /** Before every segment, with the frontier as it stands (the
-     *  segment's own start already popped off). May fill memoKey. */
-    std::function<void(std::vector<FrontierEntry> &frontier)> prefetch;
-
-    /** The cached result of the segment starting at @p start.state,
-     *  if one exists with fewer than @p cycleLimit cycles; else
-     *  nullptr. May fill start.memoKey. */
-    std::function<const SegmentResult *(FrontierEntry &start,
-                                        uint64_t cycleLimit)>
-        lookup;
+    uint32_t node = 0; ///< execution-tree node of the path
 };
 
 /**
@@ -232,8 +202,8 @@ class PathSim
 
     /**
      * Run one segment from @p start: restore it into the simulator,
-     * then continueSegment(). Frontier pops, continuations after a
-     * Merged visit and the exploration workers start here.
+     * then continueSegment(). Frontier pops and continuations after a
+     * Merged visit or a memo hit start here.
      */
     SegmentResult runSegment(const SymState &start,
                              const SegmentHooks &hooks = {});

@@ -5,12 +5,14 @@
  * retry ladder, the process-parallel scheduler, and the end-to-end
  * `runBatch` acceptance flow against real `glifs_audit` workers. Also
  * covers the worker CLI contract the batch layer depends on:
- * `--list-workloads` and the policy-file usage-error exit code.
+ * `--list-workloads`, the policy-file usage-error exit code and the
+ * `--explore-jobs` compatibility alias.
  */
 
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/inotify.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -897,6 +899,78 @@ TEST(AuditCliTest, PolicyParseErrorsExitCleanlyWithLineNumbers)
     auto [c4, e4] = auditWithPolicy(dir, "");
     EXPECT_EQ(c4, 3);
     EXPECT_NE(e4.find("empty"), std::string::npos) << e4;
+}
+
+/** A run report without its wall-clock fields (the analysis_seconds
+ *  line and the engine.*_seconds gauges). */
+std::string
+reportWithoutTimings(const std::string &report)
+{
+    std::istringstream in(report);
+    std::string out;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.find("_seconds\"") == std::string::npos)
+            out += line + "\n";
+    }
+    return out;
+}
+
+/** --explore-jobs N is a compatibility alias: the audit runs the
+ *  serial engine and reports exactly what a flagless audit reports,
+ *  and it makes nothing under $TMPDIR (no worker scratch files). */
+TEST(AuditCliTest, ExploreJobsRunsTheSerialEngine)
+{
+    const std::string dir = tempDir("cli_jobs");
+    const std::string tmp = dir + "/tmp";
+    ASSERT_EQ(::mkdir(tmp.c_str(), 0755), 0);
+    const std::string fwFile = dir + "/rle.s";
+    writeFile(fwFile, workloadByName("rle").source());
+
+    // Record every entry made in the fresh TMPDIR.
+    int ino = ::inotify_init1(IN_NONBLOCK | IN_CLOEXEC);
+    ASSERT_GE(ino, 0);
+    ASSERT_GE(::inotify_add_watch(ino, tmp.c_str(), IN_CREATE), 0);
+
+    auto audit = [&](const std::string &flags, const std::string &tag) {
+        const std::string report = dir + "/report." + tag + ".json";
+        const int code =
+            runCmd("TMPDIR='" + tmp + "' " + GLIFS_AUDIT_BIN + " " +
+                   fwFile + flags + " --stats-json " + report +
+                   " > /dev/null 2>&1");
+        return std::make_pair(code, readFile(report));
+    };
+    const auto [plainCode, plain] = audit("", "plain");
+    const auto [jobsCode, jobs] = audit(" --explore-jobs 4", "jobs4");
+
+    size_t created = 0;
+    alignas(struct inotify_event) char buf[4096];
+    while (::read(ino, buf, sizeof(buf)) > 0)
+        ++created;
+    ::close(ino);
+
+    EXPECT_EQ(plainCode, 0);
+    EXPECT_EQ(jobsCode, plainCode);
+    ASSERT_NE(plain.find("\"analysis\""), std::string::npos) << plain;
+    EXPECT_EQ(reportWithoutTimings(jobs), reportWithoutTimings(plain));
+    EXPECT_EQ(created, 0u);
+    EXPECT_TRUE(std::filesystem::is_empty(tmp));
+}
+
+/** The alias still checks its argument: a job count below 1 is a
+ *  usage error. */
+TEST(AuditCliTest, ExploreJobsBelowOneIsAUsageError)
+{
+    const std::string dir = tempDir("cli_jobs0");
+    const std::string fwFile = dir + "/rle.s";
+    writeFile(fwFile, workloadByName("rle").source());
+    for (const char *flags : {" --explore-jobs 0", " --explore-jobs -2",
+                              " --explore-jobs"}) {
+        EXPECT_EQ(runCmd(std::string(GLIFS_AUDIT_BIN) + " " + fwFile +
+                         flags + " > /dev/null 2>&1"),
+                  3)
+            << flags;
+    }
 }
 
 // ---------------------------------------------------------------------

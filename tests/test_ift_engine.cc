@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "ift/engine.hh"
 #include "ift/path_sim.hh"
 #include "ift/rootcause.hh"
+#include "ift/segment_memo.hh"
 #include "soc/soc.hh"
 #include "test_fixtures.hh"
 #include "workloads/rtos.hh"
@@ -428,12 +430,191 @@ TEST_F(IftTest, SymStateCapturedOnlyAtSegmentEnds)
     }
 }
 
+// ---------------------------------------------------------------------
+// The segment memo (DESIGN.md §11): a run that takes segments from it
+// reports exactly what a run simulating every segment reports.
+// ---------------------------------------------------------------------
+
+/** Everything a run reports except its wall time. */
+void
+expectSameRun(const EngineResult &memo, const EngineResult &plain)
+{
+    EXPECT_EQ(memo.verdict(), plain.verdict());
+    EXPECT_EQ(memo.completed, plain.completed);
+    EXPECT_EQ(memo.starAborted, plain.starAborted);
+    EXPECT_EQ(memo.cyclesSimulated, plain.cyclesSimulated);
+    EXPECT_EQ(memo.pathsExplored, plain.pathsExplored);
+    EXPECT_EQ(memo.branchPoints, plain.branchPoints);
+    EXPECT_EQ(memo.merges, plain.merges);
+    EXPECT_EQ(memo.subsumptions, plain.subsumptions);
+    EXPECT_EQ(memo.statesTracked, plain.statesTracked);
+    EXPECT_EQ(memo.taintedGates, plain.taintedGates);
+    EXPECT_EQ(memo.totalGates, plain.totalGates);
+    ASSERT_EQ(memo.violations.size(), plain.violations.size());
+    for (size_t i = 0; i < plain.violations.size(); ++i) {
+        EXPECT_EQ(memo.violations[i].str(), plain.violations[i].str());
+        EXPECT_EQ(memo.violations[i].maskable,
+                  plain.violations[i].maskable);
+    }
+    ASSERT_EQ(memo.degradations.size(), plain.degradations.size());
+    for (size_t i = 0; i < plain.degradations.size(); ++i)
+        EXPECT_EQ(memo.degradations[i].str(), plain.degradations[i].str());
+    ASSERT_EQ(memo.tree.size(), plain.tree.size());
+    for (size_t i = 0; i < plain.tree.size(); ++i) {
+        const ExecNode &a = memo.tree.all()[i];
+        const ExecNode &b = plain.tree.all()[i];
+        EXPECT_EQ(a.parent, b.parent) << "node " << i;
+        EXPECT_EQ(a.startPc, b.startPc) << "node " << i;
+        EXPECT_EQ(a.cycles, b.cycles) << "node " << i;
+        EXPECT_EQ(a.endInstr, b.endInstr) << "node " << i;
+        EXPECT_EQ(a.end, b.end) << "node " << i;
+    }
+}
+
+// Every kernel and the protected MiniRTOS, precise and *-logic: the
+// run's own memo changes nothing the run reports. The MiniRTOS must
+// actually hit (most of its segments repeat an earlier start), or the
+// identity above would hold vacuously.
+TEST_F(IftTest, SegmentMemoLeavesEveryResultUnchanged)
+{
+    const MicroBenchmark rtos = rtosProtected();
+    std::vector<std::tuple<std::string, ProgramImage, Policy>> runs;
+    for (const Workload &w : allWorkloads())
+        runs.emplace_back(w.name, w.image(), w.policy());
+    runs.emplace_back(rtos.name, assembleSource(rtos.source), rtos.policy);
+    for (const auto &[name, image, policy] : runs) {
+        for (bool star : {false, true}) {
+            SCOPED_TRACE(name + (star ? " *-logic" : ""));
+            EngineConfig cfg;
+            cfg.starLogicMode = star;
+            const EngineResult plain =
+                IftEngine(*soc, policy, cfg).run(image, nullptr, nullptr);
+            const double hits0 = stats::Registry::instance()
+                                     .snapshot()
+                                     .value("explore.cache_hits");
+            const EngineResult memo =
+                IftEngine(*soc, policy, cfg).run(image);
+            const double hits = stats::Registry::instance()
+                                    .snapshot()
+                                    .value("explore.cache_hits") -
+                                hits0;
+            expectSameRun(memo, plain);
+            if (name == rtos.name && !star) {
+                EXPECT_GT(hits, 0.0);
+            }
+        }
+    }
+}
+
+// Cycle budgets stop and degrade a run at an exact cycle, which a memo
+// hit must not step over: the MiniRTOS, cut mid-run as by glifs_audit
+// --max-cycles N, widens and stops at the same cycles, with the same
+// snapshot, with and without its memo.
+TEST_F(IftTest, SegmentMemoKeepsCycleBudgetsExact)
+{
+    const MicroBenchmark rtos = rtosProtected();
+    const ProgramImage image = assembleSource(rtos.source);
+    for (uint64_t n : {5000u, 23457u}) {
+        SCOPED_TRACE(n);
+        EngineConfig cfg;
+        cfg.maxCycles = n;
+        cfg.budgets.softCycles = n - n / 8;
+        cfg.checkpointOnStop = true;
+        const EngineResult plain =
+            IftEngine(*soc, rtos.policy, cfg).run(image, nullptr, nullptr);
+        const EngineResult memo =
+            IftEngine(*soc, rtos.policy, cfg).run(image);
+        EXPECT_EQ(plain.cyclesSimulated, n);
+        expectSameRun(memo, plain);
+        ASSERT_TRUE(plain.checkpoint && memo.checkpoint);
+        EXPECT_EQ(memo.checkpoint->totalCycles,
+                  plain.checkpoint->totalCycles);
+        EXPECT_EQ(memo.checkpoint->table, plain.checkpoint->table);
+        EXPECT_EQ(memo.checkpoint->frontier, plain.checkpoint->frontier);
+    }
+}
+
+/** A memo entry for @p start whose segment ran @p cycles cycles. */
+SegmentResult
+segmentFrom(const SymState &start, uint64_t cycles)
+{
+    SegmentResult seg;
+    seg.cycles = cycles;
+    seg.end = start;
+    return seg;
+}
+
+TEST_F(IftTest, SegmentMemoComparesWholeStatesWithinItsBudget)
+{
+    const SymLayout layout(soc->netlist());
+    SymState a(layout);
+    const size_t last = a.numSlots() - 1;
+    a.setSlot(last, Signal(Tern::Zero, false));
+    SymState b = a;
+    b.setSlot(last, Signal(Tern::Zero, true));
+
+    SegmentMemo memo;
+    memo.remember(a, segmentFrom(a, 7));
+    ASSERT_EQ(memo.size(), 1u);
+    const SegmentResult *hit = memo.find(a, UINT64_MAX);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->cycles, 7u);
+    // The last slot is a memory cell; its taint alone tells b from a.
+    EXPECT_EQ(memo.find(b, UINT64_MAX), nullptr);
+    // A stored segment as long as the cycle limit is not a hit.
+    EXPECT_EQ(memo.find(a, 7), nullptr);
+    EXPECT_NE(memo.find(a, 8), nullptr);
+
+    // Filling the memo evicts the least recently used entries; the
+    // bytes held never exceed the budget.
+    SymState s = a;
+    for (uint16_t i = 0; i < 64; ++i) {
+        for (unsigned bit = 0; bit < 16; ++bit) {
+            s.setSlot(bit, Signal((i >> bit) & 1 ? Tern::One : Tern::Zero,
+                                  false));
+        }
+        memo.remember(s, segmentFrom(s, i));
+        EXPECT_LE(memo.bytes(), SegmentMemo::kBudgetBytes);
+    }
+    EXPECT_LT(memo.size(), 64u);
+    EXPECT_EQ(memo.find(a, UINT64_MAX), nullptr);
+    const SegmentResult *latest = memo.find(s, UINT64_MAX);
+    ASSERT_NE(latest, nullptr);
+    EXPECT_EQ(latest->cycles, 63u);
+}
+
+TEST_F(IftTest, SegmentMemoSkipsCutShortAndOversizedSegments)
+{
+    const SymLayout layout(soc->netlist());
+    const SymState start(layout);
+    SegmentMemo memo;
+
+    SegmentResult stopped = segmentFrom(start, 3);
+    stopped.stopped = true;
+    memo.remember(start, stopped);
+    SegmentResult killed = segmentFrom(start, 3);
+    killed.killed = true;
+    memo.remember(start, killed);
+    EXPECT_EQ(memo.size(), 0u);
+
+    // A segment that forked more often than the budget holds states.
+    SegmentResult forky = segmentFrom(start, 3);
+    while (forky.porForks.size() * 3 * layout.slots() / 8 <=
+           SegmentMemo::kBudgetBytes) {
+        forky.porForks.push_back({start, 0, 0, 1});
+    }
+    memo.remember(start, forky);
+    EXPECT_EQ(memo.size(), 0u);
+    EXPECT_EQ(memo.bytes(), 0u);
+    EXPECT_EQ(memo.find(start, UINT64_MAX), nullptr);
+}
+
 // A memo hit's first governor poll reads the instruction address of a
 // degradation record from the segment's start state, which the
-// simulator does not hold. With a memo that answers every segment,
-// each poll after a state-table visit is a hit's poll, so the tracked-
-// states budgets fire there; the run must degrade and stop exactly as
-// the memo-free run does.
+// simulator does not hold. A memo warmed by an identical run answers
+// the segments it still holds, so the tracked-states budgets fire at
+// a hit's poll; the run must degrade and stop exactly as the memo-free
+// run does.
 TEST_F(IftTest, MemoHitsDegradeLikeSimulatedSegments)
 {
     const Workload &kernel = workloadByName("inSort");
@@ -444,47 +625,24 @@ TEST_F(IftTest, MemoHitsDegradeLikeSimulatedSegments)
     cfg.budgets.hardStates = 9;
     cfg.checkpointOnStop = true;
 
-    const EngineResult plain = IftEngine(*soc, policy, cfg).run(image);
+    const EngineResult plain =
+        IftEngine(*soc, policy, cfg).run(image, nullptr, nullptr);
 
-    PathSim side(*soc, policy, cfg, image);
-    side.loadProgram();
-    SegmentResult cached;
-    uint64_t hits = 0;
     SegmentMemo memo;
-    memo.start = [](uint64_t) {};
-    memo.prefetch = [](std::vector<FrontierEntry> &) {};
-    memo.lookup = [&](FrontierEntry &start,
-                      uint64_t cycleLimit) -> const SegmentResult * {
-        cached = side.runSegment(start.state);
-        if (cached.cycles >= cycleLimit)
-            return nullptr;
-        ++hits;
-        return &cached;
-    };
+    IftEngine(*soc, policy, cfg).run(image, nullptr, &memo);
+    const double hits0 =
+        stats::Registry::instance().snapshot().value("explore.cache_hits");
     const EngineResult hit =
         IftEngine(*soc, policy, cfg).run(image, nullptr, &memo);
+    const double hits =
+        stats::Registry::instance().snapshot().value("explore.cache_hits") -
+        hits0;
 
-    EXPECT_GT(hits, 0u);
+    EXPECT_GT(hits, 0.0);
     ASSERT_EQ(plain.degradations.size(), 2u) << plain.summary();
     EXPECT_EQ(plain.degradations[0].level, DegradeLevel::WidenedMerging);
     EXPECT_EQ(plain.degradations[1].level, DegradeLevel::PartialStop);
-    ASSERT_EQ(hit.degradations.size(), plain.degradations.size());
-    for (size_t i = 0; i < plain.degradations.size(); ++i)
-        EXPECT_EQ(hit.degradations[i].str(), plain.degradations[i].str());
-    EXPECT_EQ(hit.verdict(), plain.verdict());
-    EXPECT_EQ(hit.cyclesSimulated, plain.cyclesSimulated);
-    EXPECT_EQ(hit.pathsExplored, plain.pathsExplored);
-    EXPECT_EQ(hit.merges, plain.merges);
-    EXPECT_EQ(hit.subsumptions, plain.subsumptions);
-    EXPECT_EQ(hit.statesTracked, plain.statesTracked);
-    ASSERT_EQ(hit.violations.size(), plain.violations.size());
-    for (size_t i = 0; i < plain.violations.size(); ++i) {
-        EXPECT_EQ(hit.violations[i].instrAddr,
-                  plain.violations[i].instrAddr);
-        EXPECT_EQ(hit.violations[i].firstCycle,
-                  plain.violations[i].firstCycle);
-        EXPECT_EQ(hit.violations[i].count, plain.violations[i].count);
-    }
+    expectSameRun(hit, plain);
     ASSERT_TRUE(plain.checkpoint && hit.checkpoint);
     ASSERT_EQ(hit.checkpoint->frontier.size(),
               plain.checkpoint->frontier.size());

@@ -33,10 +33,10 @@
 #include <vector>
 
 #include "base/faultfs.hh"
+#include "base/hash.hh"
 #include "base/stats.hh"
 #include "base/telemetry.hh"
 #include "test_tmpdir.hh"
-#include "workloads/rtos.hh"
 
 #ifndef GLIFS_AUDIT_BIN
 #define GLIFS_AUDIT_BIN "glifs_audit"
@@ -173,6 +173,32 @@ TEST(TelemetryFraming, ByteAtATimeFeedStillDecodes)
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].type, EventType::StatsSnapshot);
     EXPECT_EQ(out[1].type, EventType::BudgetUsage);
+}
+
+/** Type 5 is reserved (the retired exploration-fleet event): a
+ *  well-formed frame of that type, e.g. from an older worker binary,
+ *  is skipped and the frames around it still decode. */
+TEST(TelemetryFraming, ReservedTypeFiveFrameIsSkipped)
+{
+    std::string retired = telemetry::encodeFrame(sampleBudget());
+    retired[4] = 5; // the type byte after the u32 length
+    const uint32_t crc = crc32(retired.data() + 4, retired.size() - 8);
+    for (int i = 0; i < 4; ++i)
+        retired[retired.size() - 4 + i] =
+            static_cast<char>(crc >> (8 * i));
+    const std::string stream = telemetry::encodeFrame(sampleLifecycle()) +
+                               retired +
+                               telemetry::encodeFrame(sampleHeartbeat());
+    Reader r;
+    std::vector<Event> out;
+    r.feed(stream.data(), stream.size(), out);
+    EXPECT_FALSE(r.finish());
+    EXPECT_FALSE(r.poisoned());
+    EXPECT_EQ(r.tornFrames(), 0u);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].type, EventType::Lifecycle);
+    EXPECT_EQ(out[1].type, EventType::Heartbeat);
+    EXPECT_EQ(out[1].cycles, 123456u);
 }
 
 /** Every possible truncation point: whole frames before the cut
@@ -434,16 +460,34 @@ TEST(TelemetryFaultfs, InjectedShortReadOnlyDelaysFrames)
 // End-to-end: real glifs_audit / glifs_batch processes.
 // ------------------------------------------------------------------
 
-/** Write the protected MiniRTOS (Section 7.3) firmware into @p dir.
- *  Audited under the default policy it runs for about five heartbeat
- *  periods, several times longer than any registry kernel, so a
- *  worker is reliably still running when its first heartbeat fires. */
+/**
+ * Write a firmware that audits for several heartbeat periods into
+ * @p dir: a chain of 72 branches on the untainted, unknown P3IN, each
+ * side storing its own constant to the branch's own RAM word. Every
+ * merge at a join makes one more word unknown, so the paths after
+ * each branch re-explore every later branch: about 80k simulated
+ * cycles, and no segment starts from a state an earlier one started
+ * from, so the segment memo cannot shorten the run. A worker is
+ * therefore reliably still running when its first heartbeats fire.
+ */
 std::string
-writeRtosFirmware(const std::string &dir)
+writeLongFirmware(const std::string &dir)
 {
-    const std::string asmFile = dir + "/rtos.s";
+    const std::string asmFile = dir + "/long.s";
     std::ofstream out(asmFile);
-    out << rtosProtected().source;
+    out << "        jmp task\n        .org 0x80\ntask:\n";
+    for (int i = 0; i < 72; ++i) {
+        const std::string word = std::to_string(0x0c00 + 2 * i);
+        const std::string n = std::to_string(i);
+        out << "        mov &0x0004, r4\n"
+            << "        tst r4\n"
+            << "        jz a" << n << "\n"
+            << "        mov #1, &" << word << "\n"
+            << "        jmp j" << n << "\n"
+            << "a" << n << ":    mov #2, &" << word << "\n"
+            << "j" << n << ":    nop\n";
+    }
+    out << "        halt\n";
     return asmFile;
 }
 
@@ -462,9 +506,9 @@ runCmd(const std::string &cmd)
 TEST(TelemetryEndToEnd, SigkillMidRunLeavesDecodableStream)
 {
     const std::string dir = tempDir("sigkill");
-    // The MiniRTOS runs for several heartbeat periods: long enough
+    // The firmware runs for several heartbeat periods: long enough
     // that the worker is still running when the second frame arrives.
-    const std::string asmFile = writeRtosFirmware(dir);
+    const std::string asmFile = writeLongFirmware(dir);
 
     int telPipe[2];
     ASSERT_EQ(::pipe(telPipe), 0);
@@ -531,7 +575,8 @@ TEST(TelemetryEndToEnd, SigkillMidRunLeavesDecodableStream)
 
 /** The acceptance scenario: a live `--jobs 4 --status-file` batch
  *  updates the status JSON with per-job cycle progress *before any
- *  job exits*. Four copies of the MiniRTOS, longer-running than any
+ *  job exits*. Four copies of the long firmware, longer-running than
+ *  any registry workload,
  *  registry workload, keep the observation window wide. */
 TEST(TelemetryEndToEnd, StatusFileShowsLiveProgressBeforeAnyExit)
 {
@@ -542,7 +587,7 @@ TEST(TelemetryEndToEnd, StatusFileShowsLiveProgressBeforeAnyExit)
         out << "batch live fleet\n";
         for (int i = 1; i <= 4; ++i)
             out << "job t" << i << "\n    firmware "
-                << writeRtosFirmware(dir) << "\n";
+                << writeLongFirmware(dir) << "\n";
     }
     const std::string statusFile = dir + "/status.json";
 
@@ -611,7 +656,7 @@ TEST(TelemetryEndToEnd, StatusFileShowsLiveProgressBeforeAnyExit)
 /** `--trace-merge` yields one Chrome trace with a pid lane and a
  *  process_name record per job, and the batch report aggregates the
  *  workers' final stats snapshots into "worker_stats". Workers sample
- *  their stats at a heartbeat, so one job (the MiniRTOS) runs for
+ *  their stats at a heartbeat, so one job (the long firmware) runs for
  *  several heartbeat periods. */
 TEST(TelemetryEndToEnd, MergedTraceHasPerJobLanesAndWorkerStats)
 {
@@ -620,7 +665,7 @@ TEST(TelemetryEndToEnd, MergedTraceHasPerJobLanesAndWorkerStats)
     {
         std::ofstream out(manifestFile);
         out << "batch merge fleet\n"
-            << "job rtos\n    firmware " << writeRtosFirmware(dir)
+            << "job long\n    firmware " << writeLongFirmware(dir)
             << "\n"
             << "job thold\n    workload tHold\n";
     }
@@ -645,7 +690,7 @@ TEST(TelemetryEndToEnd, MergedTraceHasPerJobLanesAndWorkerStats)
     // One process_name metadata record per job, naming its lane.
     EXPECT_NE(trace.find("{\"name\": \"process_name\", \"ph\": "
                          "\"M\", \"pid\": 1, \"tid\": 1, \"args\": "
-                         "{\"name\": \"job rtos\"}}"),
+                         "{\"name\": \"job long\"}}"),
               std::string::npos);
     EXPECT_NE(trace.find("{\"name\": \"process_name\", \"ph\": "
                          "\"M\", \"pid\": 2, \"tid\": 1, \"args\": "

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Guard against simulator-throughput regressions.
+"""Guard against throughput regressions.
 
 Compares a freshly produced ``glifs.bench_report.v1`` JSON (the
-``bench_sim_throughput`` output) against the committed baseline
-``BENCH_sim_throughput.json`` and fails when any shared
+``bench_sim_throughput`` or ``bench_analysis_runtime`` output) against
+its committed baseline (``BENCH_sim_throughput.json``,
+``BENCH_analysis_runtime.json``) and fails when any shared
 ``cycles_per_sec`` row dropped by more than the threshold (default
 30%).
 
@@ -14,21 +15,11 @@ before comparison, cancelling the overall speed difference while
 still catching *relative* regressions -- e.g. the packed backend
 losing its edge over the interpreter.
 
-``--scaling-floor FRAC`` switches to a different check, for the
-``bench_explore_scaling`` report: every ``.../jobs:N`` row's
-``speedup_vs_serial`` must reach ``FRAC * min(N, cpus)``, where
-``cpus`` is the online-CPU counter *recorded in the fresh report
-itself* -- so a 1-core CI runner only demands the coordinator is no
-slower than serial, while a many-core machine demands real scaling
-(0.375 * 8 = 3x at jobs=8 with the default floor). No baseline file
-is involved; the floor is absolute.
-
 Exit code 0 when within budget, 1 on regression or malformed input.
 """
 
 import argparse
 import json
-import re
 import sys
 
 
@@ -65,39 +56,6 @@ def compare(baseline, fresh, threshold, normalize_by=None):
         yield name, base, got, got >= base * (1.0 - threshold)
 
 
-def load_scaling_rows(path):
-    """Return [(jobs, speedup, cpus)] from a scaling bench report."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("schema") != "glifs.bench_report.v1":
-        raise ValueError(f"{path}: not a glifs.bench_report.v1 file")
-    rows = []
-    for row in doc.get("results", []):
-        m = re.search(r"/jobs:(\d+)$", row.get("name", ""))
-        if not m:
-            continue
-        speedup = row.get("speedup_vs_serial")
-        cpus = row.get("cpus")
-        if not isinstance(speedup, (int, float)) or \
-           not isinstance(cpus, (int, float)) or cpus < 1:
-            raise ValueError(
-                f"{path}: row {row.get('name')!r} lacks "
-                "speedup_vs_serial/cpus counters")
-        rows.append((int(m.group(1)), float(speedup), float(cpus)))
-    if not rows:
-        raise ValueError(f"{path}: no .../jobs:N scaling rows")
-    return rows
-
-
-def check_scaling(rows, floor):
-    """Yield (jobs, speedup, required, ok) for every jobs > 1 row."""
-    for jobs, speedup, cpus in sorted(rows):
-        if jobs <= 1:
-            continue
-        required = floor * min(jobs, cpus)
-        yield jobs, speedup, required, speedup >= required
-
-
 def self_test():
     base = {"a": 100.0, "b": 200.0, "norm": 1000.0}
     ok_fresh = {"a": 90.0, "b": 250.0, "norm": 1000.0}
@@ -116,16 +74,6 @@ def self_test():
     assert [ok for n, _, _, ok in rows if n == "a"] == [False], rows
     # Rows missing on either side are skipped, not errors.
     assert len(list(compare(base, {"a": 100.0, "norm": 1.0}, 0.3))) == 2
-    # Scaling floor: min(jobs, cpus) caps what a small machine owes.
-    one_core = [(1, 1.0, 1.0), (4, 0.9, 1.0), (8, 0.95, 1.0)]
-    assert all(ok for *_, ok in check_scaling(one_core, 0.375)), \
-        list(check_scaling(one_core, 0.375))
-    eight_core = [(1, 1.0, 8.0), (4, 1.6, 8.0), (8, 3.1, 8.0)]
-    rows = list(check_scaling(eight_core, 0.375))
-    assert [ok for *_, ok in rows] == [True, True], rows
-    eight_core_bad = [(1, 1.0, 8.0), (8, 2.5, 8.0)]
-    rows = list(check_scaling(eight_core_bad, 0.375))
-    assert [ok for *_, ok in rows] == [False], rows
     print("check_bench_regression: self-test ok")
     return 0
 
@@ -139,43 +87,12 @@ def main():
     ap.add_argument("--normalize-by", metavar="ROW",
                     help="scale fresh rates so this row matches the "
                          "baseline (cross-machine comparison)")
-    ap.add_argument("--scaling-floor", type=float, metavar="FRAC",
-                    help="check --fresh as a bench_explore_scaling "
-                         "report: speedup_vs_serial of every jobs:N "
-                         "row must reach FRAC * min(N, cpus)")
     ap.add_argument("--self-test", action="store_true",
                     help="run the built-in unit checks and exit")
     args = ap.parse_args()
 
     if args.self_test:
         return self_test()
-
-    if args.scaling_floor is not None:
-        if not args.fresh:
-            ap.error("--scaling-floor requires --fresh")
-        try:
-            rows = list(check_scaling(load_scaling_rows(args.fresh),
-                                      args.scaling_floor))
-        except (OSError, ValueError, KeyError) as e:
-            print(f"check_bench_regression: {e}", file=sys.stderr)
-            return 1
-        failures = 0
-        for jobs, speedup, required, ok in rows:
-            flag = "ok" if ok else "REGRESSION"
-            print(f"{flag:>10}  explore jobs={jobs:<2d} "
-                  f"speedup {speedup:5.2f}x (floor {required:.2f}x)")
-            failures += not ok
-        if not rows:
-            print("check_bench_regression: no jobs>1 scaling rows",
-                  file=sys.stderr)
-            return 1
-        if failures:
-            print(f"check_bench_regression: {failures} scaling "
-                  f"row(s) under the floor", file=sys.stderr)
-            return 1
-        print(f"check_bench_regression: {len(rows)} scaling row(s) "
-              f"above the {args.scaling_floor:.3f} floor")
-        return 0
 
     if not args.baseline or not args.fresh:
         ap.error("--baseline and --fresh are required")
