@@ -9,6 +9,7 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -111,7 +112,17 @@ BENCHMARK(BM_AnalyzeRtos)
 int
 main(int argc, char **argv)
 {
-    return glifs::benchjson::benchMain(argc, argv,
-                                       "analysis_runtime", "",
-                                       printRuntimeTable);
+    // Every audit row runs for at least 1.5 s, so even the slowest
+    // (rtosProtected, ~0.1 s an audit) averages 10 or more audits; at
+    // the library's default a row averaged 3-5 and swung ~20%. Passed
+    // as a default flag, not MinTime(), which would rename the rows the
+    // regression guard matches; a --benchmark_min_time given on the
+    // command line comes later and wins.
+    char minTime[] = "--benchmark_min_time=1.5";
+    std::vector<char *> args(argv, argv + argc);
+    args.insert(args.begin() + 1, minTime);
+    int n = static_cast<int>(args.size());
+    args.push_back(nullptr);
+    return glifs::benchjson::benchMain(n, args.data(), "analysis_runtime",
+                                       "", printRuntimeTable);
 }

@@ -168,8 +168,16 @@ encodePayload(const Event &e)
     return p;
 }
 
-/** Decode one payload; false when the bytes do not parse. */
-bool
+/** How a well-framed payload decoded. */
+enum class Decoded
+{
+    Ok,
+    UnknownType, ///< a type this reader does not know: skip it
+    Malformed,   ///< a known type whose bytes do not parse
+};
+
+/** Decode one payload of frame type @p type into @p out. */
+Decoded
 decodePayload(uint8_t type, const std::string &payload, Event &out)
 {
     PayloadReader r{payload};
@@ -194,7 +202,7 @@ decodePayload(uint8_t type, const std::string &payload, Event &out)
         out.type = EventType::StatsSnapshot;
         uint32_t n = r.u32();
         if (r.bad || n > kMaxFrame)
-            return false;
+            return Decoded::Malformed;
         out.stats.reserve(n);
         for (uint32_t i = 0; i < n && !r.bad; ++i) {
             std::string name = r.str();
@@ -210,9 +218,9 @@ decodePayload(uint8_t type, const std::string &payload, Event &out)
         out.detail = r.str();
         break;
       default:
-        return false; // unknown type: skip, stay forward-compatible
+        return Decoded::UnknownType; // stay forward-compatible
     }
-    return !r.bad;
+    return r.bad ? Decoded::Malformed : Decoded::Ok;
 }
 
 } // namespace
@@ -348,10 +356,18 @@ Reader::feed(const void *data, size_t n, std::vector<Event> &out)
         }
         Event e;
         std::string payload(body + 1, len);
-        if (decodePayload(static_cast<uint8_t>(body[0]), payload, e))
+        // An unknown (or reserved) type is a valid frame from a newer
+        // or older writer, not damage: skip it uncounted.
+        switch (decodePayload(static_cast<uint8_t>(body[0]), payload, e)) {
+          case Decoded::Ok:
             ++frameCount, out.push_back(std::move(e));
-        else
+            break;
+          case Decoded::UnknownType:
+            break;
+          case Decoded::Malformed:
             ++crcErrorCount;
+            break;
+        }
         pos += frameSize;
     }
     buf.erase(0, pos);

@@ -156,6 +156,8 @@ class Reader
     bool finish();
 
     uint64_t frames() const { return frameCount; }
+    /** Frames whose CRC failed, or whose known type did not decode.
+     *  A well-formed frame of an unknown type is skipped uncounted. */
     uint64_t crcErrors() const { return crcErrorCount; }
     uint64_t tornFrames() const { return tornCount; }
     /** True once a frame header was unbelievable (stream abandoned). */

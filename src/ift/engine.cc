@@ -330,8 +330,7 @@ struct RunCtx
             if (!simulated) {
                 // The scan below reads the data-memory cells out of
                 // the simulator; put the segment's end state there.
-                cur.restore(ps.layout, ps.sim.state());
-                ps.sim.markAllDirty();
+                cur.restore(ps.layout, ps.sim);
             }
             ps.checker.checkMemoryInvariant(ps.sim, instr_addr,
                                             totalCycles, log);
@@ -341,27 +340,32 @@ struct RunCtx
         // visit() merged or stored; cur is now the conservative state
         // to continue from.
         const size_t pc_xbits = ps.statePcXBits(cur).size();
-        if (pc_xbits == 0) {
+        const size_t ia_xbits = ps.stateInstrAddrXBits(cur).size();
+        if (pc_xbits == 0 && ia_xbits == 0) {
             merged = visit == StateTable::Visit::Merged;
             return std::move(cur);
         }
+        const size_t xbits = pc_xbits + ia_xbits;
 
         // Soft branch-fanout threshold: a wide unknown-PC branch
         // escalates the ladder before enumerating.
         if (ps.cfg.budgets.softBranchBits &&
-            pc_xbits > ps.cfg.budgets.softBranchBits &&
+            xbits > ps.cfg.budgets.softBranchBits &&
             level == DegradeLevel::None) {
             BudgetEvent ev{ResourceKind::BranchFanout,
                            BudgetSeverity::Soft,
-                           detail::concat(pc_xbits,
+                           detail::concat(xbits,
                                           " unknown PC bits at ",
                                           hex16(instr_addr))};
             escalate(ev, instr_addr);
         }
 
-        bool overflow = false;
+        // An unknown instruction address under a known PC fans out
+        // over the address bits alone.
+        bool overflow = ia_xbits > ps.cfg.maxBranchBits;
         std::vector<uint16_t> pcs =
-            ps.candidatePcs(instr_addr, cur, overflow);
+            pc_xbits == 0 ? std::vector<uint16_t>{ps.statePcBase(cur)}
+                          : ps.candidatePcs(instr_addr, cur, overflow);
         if (overflow) {
             // Hard fanout exhaustion: unbounded indirect control flow.
             // Degrade the path to the *-logic abstraction instead of
@@ -371,7 +375,7 @@ struct RunCtx
             recordDegradation(
                 DegradeLevel::StarLogicPath, ResourceKind::BranchFanout,
                 BudgetSeverity::Hard, instr_addr,
-                detail::concat(pc_xbits, " unknown PC bits exceed ",
+                detail::concat(xbits, " unknown PC bits exceed ",
                                ps.cfg.maxBranchBits,
                                " (consider masking the target)"));
             ps.starSaturate(&everTainted);
@@ -382,15 +386,19 @@ struct RunCtx
         ++branchPoints;
         ++es.branchPoints;
         ++es.pcFanouts;
-        es.fanoutWidth.sample(static_cast<double>(pcs.size()));
+        const size_t width = pcs.size() << ia_xbits;
+        es.fanoutWidth.sample(static_cast<double>(width));
         GLIFS_TRACE_INSTANT_ARGS(
             "engine", "branch",
             add("instr", hex16(instr_addr))
-                .add("successors", static_cast<uint64_t>(pcs.size()))
+                .add("successors", static_cast<uint64_t>(width))
                 .add("cycle", totalCycles));
         for (uint16_t pc : pcs) {
-            uint32_t cn = tree.addNode(node, pc);
-            stack.push_back({ps.concretizePc(cur, pc), cn});
+            for (SymState &child :
+                 ps.concretizeInstrAddr(ps.concretizePc(cur, pc))) {
+                uint32_t cn = tree.addNode(node, pc);
+                stack.push_back({std::move(child), cn});
+            }
         }
         es.frontierPeak.set(static_cast<double>(stack.size()));
         gov.noteFrontier(stack.size());
@@ -589,7 +597,7 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume,
         ctx.gov.chargeCycles(1);
 
         SymState s0(ctx.ps.layout);
-        s0.capture(ctx.ps.layout, ctx.ps.sim.state());
+        s0.capture(ctx.ps.layout, ctx.ps.sim);
         uint32_t root = ctx.tree.addNode(-1, 0);
         ctx.stack.push_back({std::move(s0), root});
     }

@@ -30,6 +30,8 @@ PathSim::PathSim(const Soc &s, const Policy &p, const EngineConfig &c,
 void
 PathSim::loadProgram()
 {
+    // An untracked write, covered by the full settle a fresh simulator
+    // starts with.
     soc.loadProgram(sim.state(), image);
     if (policy.taintCodeInProgMem) {
         for (const CodePartition &p : policy.code) {
@@ -233,6 +235,34 @@ PathSim::concretizePc(const SymState &s, uint16_t pc) const
     return child;
 }
 
+std::vector<unsigned>
+PathSim::stateInstrAddrXBits(const SymState &s) const
+{
+    std::vector<unsigned> xs;
+    for (size_t i = 0; i < instrAddrSlots.size(); ++i) {
+        if (!s.slot(instrAddrSlots[i]).known())
+            xs.push_back(static_cast<unsigned>(i));
+    }
+    return xs;
+}
+
+std::vector<SymState>
+PathSim::concretizeInstrAddr(SymState s) const
+{
+    const std::vector<unsigned> xbits = stateInstrAddrXBits(s);
+    std::vector<SymState> out;
+    for (size_t c = 0; c < (1ULL << xbits.size()); ++c) {
+        SymState child = s;
+        for (size_t k = 0; k < xbits.size(); ++k) {
+            const size_t slot = instrAddrSlots[xbits[k]];
+            child.setSlot(slot, Signal{ternBool((c >> k) & 1ULL),
+                                       s.slot(slot).taint});
+        }
+        out.push_back(std::move(child));
+    }
+    return out;
+}
+
 std::pair<size_t, size_t>
 PathSim::starSaturate(BitPlane *everTainted)
 {
@@ -281,10 +311,9 @@ PathSim::starSaturate(BitPlane *everTainted)
 SegmentResult
 PathSim::runSegment(const SymState &start, const SegmentHooks &hooks)
 {
-    start.restore(layout, sim.state());
-    // The restore rewrote every flop and memory cell behind the
-    // scheduler's back; the first settle of the segment must sweep.
-    sim.markAllDirty();
+    // A tracked store: the first settle re-runs only the logic reading
+    // a flop or memory cell that differs from the simulator's state.
+    start.restore(layout, sim);
     GLIFS_ASSERT(statePcXBits(start).empty(),
                  "segment start with unknown PC");
     return continueSegment(hooks);
@@ -322,7 +351,7 @@ PathSim::continueSegment(const SegmentHooks &hooks)
             CycleAction act = hooks.poll();
             if (act == CycleAction::Stop) {
                 res.stopped = true;
-                res.end.capture(layout, sim.state());
+                res.end.capture(layout, sim);
                 res.endInstr = tryBusValue(prb.instrAddrQ);
                 return finish();
             }
@@ -388,13 +417,13 @@ PathSim::continueSegment(const SegmentHooks &hooks)
         Signal por = sim.netValue(prb.porNet);
         if (!por.known()) {
             SymState pre(layout);
-            pre.capture(layout, sim.state());
+            pre.capture(layout, sim);
 
             // Fired branch: POR forced high; PC resets to 0.
             sim.setNet(prb.porNet, Signal{Tern::One, por.taint});
             sim.clockEdge();
             SymState fired(layout);
-            fired.capture(layout, sim.state());
+            fired.capture(layout, sim);
             GLIFS_ASSERT(statePcXBits(fired).empty(),
                          "POR branch left the PC unknown");
             const uint16_t startPc = statePcBase(fired);
@@ -411,8 +440,7 @@ PathSim::continueSegment(const SegmentHooks &hooks)
             // The fork chain is bounded by the next PC-changing
             // commit, where the normal state-table subsumption
             // applies.
-            pre.restore(layout, sim.state());
-            sim.markAllDirty();
+            pre.restore(layout, sim);
             setInputs(false);
             sim.evalComb();
             sim.setNet(prb.porNet, Signal{Tern::Zero, por.taint});
@@ -428,7 +456,7 @@ PathSim::continueSegment(const SegmentHooks &hooks)
         if (cfg.disableMerging && !pc_unknown)
             continue; // ablation: no subsumption, no merging
 
-        res.end.capture(layout, sim.state());
+        res.end.capture(layout, sim);
         res.endInstr = instr_addr;
         res.endFsm = fsm;
         res.pcUnknown = pc_unknown;

@@ -194,6 +194,21 @@ class PathSim
     SymState concretizePc(const SymState &s, uint16_t pc) const;
 
     /**
+     * Unknown instruction-address bits of a captured state. A merge
+     * can leave them X under a PC that is known or concretized: two
+     * paths reach one commit with different instruction addresses
+     * after its edge (one of them reset by a concrete watchdog
+     * expiry). A segment cannot start there, so the engine fans such a
+     * state out like an unknown PC.
+     */
+    std::vector<unsigned> stateInstrAddrXBits(const SymState &s) const;
+
+    /** The children of @p s, one per assignment of its unknown
+     *  instruction-address bits (taints retained); just @p s when it
+     *  has none. */
+    std::vector<SymState> concretizeInstrAddr(SymState s) const;
+
+    /**
      * *-logic abstraction: saturate all state to tainted-X, settle the
      * combinational logic once, and report how many gate outputs end
      * up tainted (footnote 8 reproduction).

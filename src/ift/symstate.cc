@@ -2,6 +2,7 @@
 
 #include "base/logging.hh"
 #include "base/stats.hh"
+#include "sim/simulator.hh"
 
 namespace glifs
 {
@@ -102,9 +103,8 @@ unpackSlot(const uint64_t *k, const uint64_t *v, const uint64_t *t,
 } // namespace
 
 void
-SymState::capture(const SymLayout &layout, const SignalState &sigs)
+SymState::clearFor(const SymLayout &layout)
 {
-    ++symStateStats().captures;
     if (known.size() != layout.slots()) {
         known.resize(layout.slots());
         value.resize(layout.slots());
@@ -114,6 +114,13 @@ SymState::capture(const SymLayout &layout, const SignalState &sigs)
         value.clearAll();
         taint.clearAll();
     }
+}
+
+void
+SymState::capture(const SymLayout &layout, const SignalState &sigs)
+{
+    ++symStateStats().captures;
+    clearFor(layout);
     // Only slots below slots() are written, so the tail bits of the
     // last word stay zero for operator==, subsumedBy and the digest.
     uint64_t *k = known.words().data();
@@ -129,6 +136,16 @@ SymState::capture(const SymLayout &layout, const SignalState &sigs)
 }
 
 void
+SymState::capture(const SymLayout &layout, const Simulator &sim)
+{
+    ++symStateStats().captures;
+    clearFor(layout);
+    sim.readFlops(known.words(), value.words(), taint.words());
+    for (const auto &[mem, base] : layout.mems())
+        sim.state().mem(mem).storeTo(known, value, taint, base);
+}
+
+void
 SymState::restore(const SymLayout &layout, SignalState &sigs) const
 {
     ++symStateStats().restores;
@@ -141,6 +158,16 @@ SymState::restore(const SymLayout &layout, SignalState &sigs) const
         sigs.setNet(dffs[i], unpackSlot(k, v, t, i));
     for (const auto &[mem, base] : layout.mems())
         sigs.mem(mem).loadFrom(known, value, taint, base);
+}
+
+void
+SymState::restore(const SymLayout &layout, Simulator &sim) const
+{
+    ++symStateStats().restores;
+    GLIFS_ASSERT(known.size() == layout.slots(), "layout mismatch");
+    sim.writeFlops(known.words(), value.words(), taint.words());
+    for (const auto &[mem, base] : layout.mems())
+        sim.writeMem(mem, known, value, taint, base);
 }
 
 bool

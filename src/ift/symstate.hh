@@ -12,12 +12,16 @@
  * The audit captures a state only where a segment ends (a PC-changing
  * commit, an unknown PC, a hook stop) and at POR forks, never once
  * per simulated cycle (ift/path_sim.hh). capture() and restore() move
- * whole plane words: flop slots are ORed into or decoded from the
- * words one slot at a time, and each memory's slot range is a shifted
- * word copy of its known/value/taint planes (the simulation keeps
- * memories in that very form, netlist/memory_array.hh). Bits past
- * slots() stay zero, because operator==, subsumedBy() and the
- * exploration digest read whole words (DESIGN.md §5).
+ * whole plane words. Flop i of nl.dffs() is slot i, the lane the
+ * packed simulator gives it in its Q words, so against a Simulator
+ * the flops move a plane word at a time; each memory's slot range is
+ * a shifted word copy of its known/value/taint planes (the simulation
+ * keeps memories in that very form, netlist/memory_array.hh).
+ * restore() into a Simulator is a tracked store: it marks only the
+ * logic reading what changed, so a segment start re-settles no more
+ * than that. Bits past slots() stay zero, because operator==,
+ * subsumedBy() and the exploration digest read whole words
+ * (DESIGN.md §5).
  */
 
 #ifndef GLIFS_IFT_SYMSTATE_HH
@@ -29,6 +33,8 @@
 
 namespace glifs
 {
+
+class Simulator;
 
 /** Slot layout of a SymState over a given netlist (built once). */
 class SymLayout
@@ -68,10 +74,18 @@ class SymState
     /** Capture flops and memories from a simulation state (counted
      *  in symstate.captures). */
     void capture(const SymLayout &layout, const SignalState &sigs);
+    /** The same from a simulator, its flops a plane word at a time. */
+    void capture(const SymLayout &layout, const Simulator &sim);
 
     /** Write flops and memories back into a simulation state (counted
-     *  in symstate.restores); other nets are left untouched. */
+     *  in symstate.restores); other nets are left untouched. The
+     *  write bypasses any simulator's dirty tracking, so the
+     *  simulator owning @p sigs needs markAllDirty() afterwards. */
     void restore(const SymLayout &layout, SignalState &sigs) const;
+    /** The same as a tracked store into @p sim (Simulator::writeFlops,
+     *  Simulator::writeMem): the next settle runs only the logic
+     *  reading a flop or memory the restore changed. */
+    void restore(const SymLayout &layout, Simulator &sim) const;
 
     /**
      * Substate test: true iff every concrete machine state described
@@ -121,6 +135,9 @@ class SymState
     BitPlane known;
     BitPlane value;
     BitPlane taint;
+
+    /** Zero all three planes at @p layout's size (capture's start). */
+    void clearFor(const SymLayout &layout);
 };
 
 } // namespace glifs

@@ -82,6 +82,7 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
     CompiledNetlist cn;
     cn.producerUnit.assign(nl.numNets(), -1);
     cn.unitOfMem.assign(nl.numMemories(), 0);
+    cn.memReadWord.assign(nl.numMemories(), 0);
     cn.slotOfNet.assign(nl.numNets(), kNoSlot);
 
     // ---- unit assignment -------------------------------------------
@@ -151,12 +152,11 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
         cn.slotOfNet[net] = slot;
     };
 
-    // Flip-flop Q outputs first: chunks of 64 in Q-net order, each
-    // chunk owning one whole word so the edge commit is a word write.
-    std::vector<GateId> dffs(nl.dffs());
-    std::sort(dffs.begin(), dffs.end(), [&](GateId x, GateId y) {
-        return nl.gate(x).out < nl.gate(y).out;
-    });
+    // Flip-flop Q outputs first: chunks of 64 in nl.dffs() order, each
+    // chunk owning one whole word so the edge commit is a word write
+    // and flop i sits at lane i % 64 of Q word i / 64, the bit a
+    // SymState gives it (flop state moves a plane word at a time).
+    const std::vector<GateId> &dffs = nl.dffs();
     std::vector<uint32_t> dffWordOfGate(nl.numGates(), 0);
     for (size_t base = 0; base < dffs.size(); base += 64) {
         const size_t n = std::min<size_t>(64, dffs.size() - base);
@@ -207,6 +207,7 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
             const uint32_t w = allocWord();
             for (unsigned b = 0; b < decl.width; ++b)
                 placeNet(decl.readData[b], (w << 6) + b);
+            cn.memReadWord[u.index] = w;
             continue;
         }
         std::vector<GateId> &gates = batchGates[u.index];
@@ -283,13 +284,16 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
         cn.slotNet[cn.slotOfNet[n]] = n;
     }
 
-    // ---- net -> mark-target CSR ------------------------------------
+    // ---- plane word -> mark-target index ---------------------------
     // Targets < units.size() are consuming units; units.size() + i is
     // dff word i (its D/RST/EN/Q inputs -- Q included, so an external
     // Q override or a committed Q change re-arms the word's own edge
-    // computation).
+    // computation). Edges are bucketed by the word of their net's slot
+    // (a counting sort), then each word's edges are folded into one
+    // (target, lanes) pair per distinct target: linear in the edges.
     const uint32_t numUnits = static_cast<uint32_t>(cn.units.size());
-    std::vector<uint32_t> counts(nl.numNets(), 0);
+    const uint32_t numTargets =
+        numUnits + static_cast<uint32_t>(cn.dffWords.size());
     auto eachEdge = [&](auto &&fn) {
         for (GateId g = 0; g < nl.numGates(); ++g) {
             const Gate &gate = nl.gate(g);
@@ -317,27 +321,54 @@ compileNetlist(const Netlist &nl, const std::vector<EvalStep> &order)
             }
         }
     };
-    eachEdge([&](NetId n, uint32_t) { ++counts[n]; });
-    cn.consumerOffsets.assign(nl.numNets() + 1, 0);
-    for (size_t n = 0; n < nl.numNets(); ++n)
-        cn.consumerOffsets[n + 1] = cn.consumerOffsets[n] + counts[n];
-    cn.consumerUnits.resize(cn.consumerOffsets.back());
-    std::vector<uint32_t> cursor(cn.consumerOffsets.begin(),
-                                 cn.consumerOffsets.end() - 1);
-    eachEdge([&](NetId n, uint32_t unit) {
-        cn.consumerUnits[cursor[n]++] = unit;
+    std::vector<uint32_t> edgeOffsets(cn.planeWords + 1, 0);
+    eachEdge([&](NetId n, uint32_t) {
+        ++edgeOffsets[(cn.slotOfNet[n] >> 6) + 1];
     });
+    for (size_t w = 0; w < cn.planeWords; ++w)
+        edgeOffsets[w + 1] += edgeOffsets[w];
+    std::vector<WordMark> edges(edgeOffsets.back());
+    {
+        std::vector<uint32_t> cursor(edgeOffsets.begin(),
+                                     edgeOffsets.end() - 1);
+        eachEdge([&](NetId n, uint32_t target) {
+            const uint32_t slot = cn.slotOfNet[n];
+            edges[cursor[slot >> 6]++] = {target, 1ULL << (slot & 63)};
+        });
+    }
+    // markAt[t]: index of target t's latest pair; it belongs to the
+    // current word when it is at or past the word's first pair.
+    std::vector<uint32_t> markAt(numTargets, kNoSlot);
+    cn.markOffsets.assign(cn.planeWords + 1, 0);
+    for (size_t w = 0; w < cn.planeWords; ++w) {
+        const uint32_t first = static_cast<uint32_t>(cn.marks.size());
+        for (uint32_t e = edgeOffsets[w]; e < edgeOffsets[w + 1]; ++e) {
+            const WordMark &edge = edges[e];
+            const uint32_t at = markAt[edge.target];
+            if (at != kNoSlot && at >= first) {
+                cn.marks[at].lanes |= edge.lanes;
+            } else {
+                markAt[edge.target] =
+                    static_cast<uint32_t>(cn.marks.size());
+                cn.marks.push_back(edge);
+            }
+        }
+        cn.markOffsets[w + 1] = static_cast<uint32_t>(cn.marks.size());
+    }
 
     // Every combinational consumer must be scheduled strictly after
     // its producer; the ascending dirty-unit drain relies on it.
-    for (NetId n = 0; n < nl.numNets(); ++n) {
-        const int32_t p = cn.producerUnit[n];
-        if (p < 0)
-            continue;
-        for (uint32_t c : cn.consumersOf(n)) {
-            GLIFS_ASSERT(c >= numUnits ||
-                             static_cast<int32_t>(c) > p,
-                         "compile: unit order violated on net ", n);
+    for (uint32_t w = 0; w < cn.planeWords; ++w) {
+        for (const WordMark &m : cn.marksOf(w)) {
+            for (uint64_t l = m.lanes; l; l &= l - 1) {
+                const NetId n =
+                    cn.slotNet[(w << 6) +
+                               static_cast<uint32_t>(std::countr_zero(l))];
+                const int32_t p = cn.producerUnit[n];
+                GLIFS_ASSERT(m.target >= numUnits ||
+                                 static_cast<int32_t>(m.target) > p,
+                             "compile: unit order violated on net ", n);
+            }
         }
     }
     return cn;

@@ -26,9 +26,14 @@
  * interpreter, but packed as well: dffWords of up to 64 flops whose Q
  * slots are one dedicated word (commit is a word write), with gather
  * programs for D/RST/EN and a per-lane reset-value mask, evaluated by
- * dffNextKernel(). Edge work is event-driven too: the consumer index
- * maps every net to the dff words reading it, so quiescent flops cost
- * nothing.
+ * dffNextKernel(). Flop i of nl.dffs() is lane i % 64 of Q word
+ * i / 64, so a SymState's flop bits move a plane word at a time.
+ *
+ * Dirty tracking reads one consumer index, keyed by plane word: for
+ * each word, one (mark target, lane mask) pair per unit or dff word
+ * reading any of its lanes. A store marks a target when its changed
+ * lanes meet the mask, with no per-lane or per-net hop, and edge work
+ * is event-driven too: quiescent flops cost nothing.
  */
 
 #ifndef GLIFS_NETLIST_COMPILE_HH
@@ -101,10 +106,18 @@ struct DffWord
     OpRange gatherEn;
 };
 
+/** One entry of the word consumer index: a store that changes any of
+ *  `lanes` in the word must mark `target`. */
+struct WordMark
+{
+    uint32_t target;  ///< unit index, or units.size() + i for dff word i
+    uint64_t lanes;   ///< lanes of the word the target reads
+};
+
 /**
  * The compiled program plus the net <-> slot permutation and the
- * net -> consumer indices needed to drive it event-driven. Built once
- * per Simulator; immutable afterwards.
+ * plane word -> consumer index needed to drive it event-driven. Built
+ * once per Simulator; immutable afterwards.
  */
 struct CompiledNetlist
 {
@@ -118,6 +131,8 @@ struct CompiledNetlist
 
     /** Unit index evaluating each memory read port. */
     std::vector<uint32_t> unitOfMem;
+    /** Plane word of each memory's read data: bit b at lane b. */
+    std::vector<uint32_t> memReadWord;
 
     /** Unit producing each net, or -1 for sources (inputs, consts, Q). */
     std::vector<int32_t> producerUnit;
@@ -128,18 +143,19 @@ struct CompiledNetlist
     std::vector<NetId> slotNet;
 
     /**
-     * CSR net -> mark targets: a value < units.size() is a consuming
-     * unit; units.size() + i is dff word i reading the net through
-     * D/RST/EN/Q. May contain duplicates.
+     * CSR plane word -> mark targets: word w's pairs are
+     * marks[markOffsets[w], markOffsets[w + 1]), one per distinct
+     * target, whose mask holds every lane of w that target reads
+     * (through a gate input, a read address, or a flop's D/RST/EN/Q).
      */
-    std::vector<uint32_t> consumerOffsets;
-    std::vector<uint32_t> consumerUnits;
+    std::vector<uint32_t> markOffsets;
+    std::vector<WordMark> marks;
 
-    std::span<const uint32_t>
-    consumersOf(NetId net) const
+    std::span<const WordMark>
+    marksOf(uint32_t word) const
     {
-        return {consumerUnits.data() + consumerOffsets[net],
-                consumerOffsets[net + 1] - consumerOffsets[net]};
+        return {marks.data() + markOffsets[word],
+                markOffsets[word + 1] - markOffsets[word]};
     }
 
     std::span<const PlaneOp>

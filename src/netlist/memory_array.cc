@@ -48,15 +48,42 @@ MemPlanes::storeTo(BitPlane &k, BitPlane &v, BitPlane &t, size_t pos) const
     t.copyBits(pos, taint, 0, cells());
 }
 
-void
+bool
 MemPlanes::loadFrom(const BitPlane &k, const BitPlane &v,
                     const BitPlane &t, size_t pos)
 {
-    known.copyBits(0, k, pos, cells());
-    value.copyBits(0, v, pos, cells());
-    taint.copyBits(0, t, pos, cells());
-    // A state read from a file may carry value bits on unknown cells.
-    value.andWith(known);
+    GLIFS_ASSERT(pos + cells() <= k.size() && k.size() == v.size() &&
+                     v.size() == t.size(),
+                 "MemPlanes::loadFrom range out of bounds");
+    uint64_t *kd = known.words().data();
+    uint64_t *vd = value.words().data();
+    uint64_t *td = taint.words().data();
+    const uint64_t *ks = k.words().data() + pos / 64;
+    const uint64_t *vs = v.words().data() + pos / 64;
+    const uint64_t *ts = t.words().data() + pos / 64;
+    const unsigned sh = pos % 64;
+    // Source bits [pos + 64 i, pos + 64 i + 64): one or two words.
+    auto at = [sh](const uint64_t *s, size_t i) {
+        return sh ? (s[i] >> sh) | (s[i + 1] << (64 - sh)) : s[i];
+    };
+    uint64_t diff = 0;
+    auto put = [&](size_t i, uint64_t nk, uint64_t nv, uint64_t nt) {
+        // A state read from a file may carry value bits on unknown
+        // cells.
+        nv &= nk;
+        diff |= (kd[i] ^ nk) | (vd[i] ^ nv) | (td[i] ^ nt);
+        kd[i] = nk;
+        vd[i] = nv;
+        td[i] = nt;
+    };
+    const size_t full = cells() / 64;
+    for (size_t i = 0; i < full; ++i)
+        put(i, at(ks, i), at(vs, i), at(ts, i));
+    if (const unsigned rest = cells() % 64) {
+        const size_t p = pos + full * 64;
+        put(full, k.field(p, rest), v.field(p, rest), t.field(p, rest));
+    }
+    return diff != 0;
 }
 
 MemAddr

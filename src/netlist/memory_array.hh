@@ -122,8 +122,9 @@ class MemPlanes
     void storeTo(BitPlane &k, BitPlane &v, BitPlane &t, size_t pos) const;
 
     /** Load all cells from bits [pos, pos + cells()) of three planes
-     *  (SymState restore); value bits on unknown cells are dropped. */
-    void loadFrom(const BitPlane &k, const BitPlane &v, const BitPlane &t,
+     *  (SymState restore); value bits on unknown cells are dropped.
+     *  Returns whether any cell changed. */
+    bool loadFrom(const BitPlane &k, const BitPlane &v, const BitPlane &t,
                   size_t pos);
 
     const BitPlane &knownPlane() const { return known; }

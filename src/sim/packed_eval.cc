@@ -45,7 +45,7 @@ PackedEval::gather(const OpRange &r,
     return p;
 }
 
-size_t
+uint64_t
 PackedEval::storeWord(std::vector<Planes> &planes, uint32_t w,
                       uint64_t mask, const Planes &out, bool track)
 {
@@ -54,23 +54,16 @@ PackedEval::storeWord(std::vector<Planes> &planes, uint32_t w,
                          (cur.hi & ~mask) | (out.hi & mask),
                          (cur.tnt & ~mask) | (out.tnt & mask)};
     const uint64_t valueDiff = (cur.lo ^ next.lo) | (cur.hi ^ next.hi);
-    uint64_t diff = valueDiff | (cur.tnt ^ next.tnt);
+    const uint64_t diff = valueDiff | (cur.tnt ^ next.tnt);
     if (!diff)
         return 0;
     cur = next;
-    if (track) {
-        const uint32_t base = w << 6;
-        while (diff) {
-            markConsumersDirty(
-                cn.slotNet[base +
-                           static_cast<uint32_t>(std::countr_zero(diff))]);
-            diff &= diff - 1;
-        }
-    }
-    return std::popcount(valueDiff);
+    if (track)
+        markWord(w, diff);
+    return valueDiff;
 }
 
-size_t
+uint64_t
 PackedEval::runBatch(uint32_t batch, SignalState &st, bool track)
 {
     const PackedBatch &pb = cn.batches[batch];
@@ -91,7 +84,7 @@ PackedEval::computeDffWord(uint32_t i, const SignalState &st)
         gather(dw.gatherEn, planes), planes[dw.qWord], dw.rstVal);
 }
 
-size_t
+uint64_t
 PackedEval::commitDffWord(uint32_t i, SignalState &st, bool track)
 {
     const DffWord &dw = cn.dffWords[i];

@@ -10,9 +10,15 @@
  * pass) and interprets the memory read/write ports.
  *
  * Coherence contract: the SignalState's planes are the only store of
- * net values. A tracked store marks the consumers of every lane it
- * changes; writes from outside (Simulator::setNet) mark their own, or
- * are covered by an untracked full settle.
+ * net values, and every write to them is either a tracked store or is
+ * followed by Simulator::markAllDirty(). A tracked store (storeWord()
+ * with track, markConsumersDirty() after a point write) marks, through
+ * the word consumer index, every unit and dff word reading a lane it
+ * changed. Kernel results, flop commits, memory read ports, net
+ * overrides (Simulator::setNet) and SymState restores are all tracked
+ * stores, so a segment start re-settles only what the restore changed;
+ * a fresh simulator, a path switch and *-logic saturation rely on the
+ * untracked full settle instead.
  */
 
 #ifndef GLIFS_SIM_PACKED_EVAL_HH
@@ -37,7 +43,8 @@ class PackedEval
     const CompiledNetlist &program() const { return cn; }
 
     // --- dirty tracking ----------------------------------------------
-    /** Mark one CSR target: a unit, or units.size()+i for dff word i. */
+    /** Mark one index target: a unit, or units.size()+i for dff word
+     *  i. */
     void
     markTarget(uint32_t t)
     {
@@ -48,11 +55,12 @@ class PackedEval
                 1ULL << ((t - numUnits) & 63);
     }
 
+    /** Mark every target reading @p net (after a point write). */
     void
     markConsumersDirty(NetId net)
     {
-        for (uint32_t t : cn.consumersOf(net))
-            markTarget(t);
+        const uint32_t slot = cn.slotOfNet[net];
+        markWord(slot >> 6, 1ULL << (slot & 63));
     }
 
     /** Mark the unit driving @p net, if any (override recompute). */
@@ -81,13 +89,21 @@ class PackedEval
 
     // --- execution ---------------------------------------------------
     /**
-     * Gather, apply the kernel and store one batch's output word into
-     * @p st. With @p track, the consumers of every output net whose
-     * signal changed are marked dirty. Returns the number of lanes
-     * whose *value* toggled (for the energy model's per-kind toggle
-     * counters).
+     * Replace the lanes of plane word @p w under @p mask with @p out.
+     * With @p track, every target reading a changed lane (value or
+     * taint) is marked dirty straight from the word's diff mask.
+     * Returns the mask of lanes whose *value* toggled (the energy
+     * model counts them only when toggle stats are on).
      */
-    size_t runBatch(uint32_t batch, SignalState &st, bool track);
+    uint64_t storeWord(std::vector<packed::Planes> &planes, uint32_t w,
+                       uint64_t mask, const packed::Planes &out,
+                       bool track);
+
+    /**
+     * Gather, apply the kernel and store one batch's output word into
+     * @p st (storeWord()). Returns the value-toggle mask.
+     */
+    uint64_t runBatch(uint32_t batch, SignalState &st, bool track);
 
     /**
      * Stage dff word @p i's next state from the current (settled)
@@ -99,9 +115,9 @@ class PackedEval
     /**
      * Write dff word @p i's staged next state into its Q word, marking
      * the consumers of changed Q nets with @p track; returns the
-     * number of value toggles.
+     * value-toggle mask.
      */
-    size_t commitDffWord(uint32_t i, SignalState &st, bool track);
+    uint64_t commitDffWord(uint32_t i, SignalState &st, bool track);
 
   private:
     CompiledNetlist cn;
@@ -116,14 +132,15 @@ class PackedEval
     packed::Planes gather(const OpRange &r,
                           const std::vector<packed::Planes> &p) const;
 
-    /**
-     * Replace the bits of plane word @p w under @p mask with @p out.
-     * With @p track, the consumers of every changed slot are marked
-     * dirty straight from the word's diff mask. Returns the
-     * value-toggle count.
-     */
-    size_t storeWord(std::vector<packed::Planes> &planes, uint32_t w,
-                     uint64_t mask, const packed::Planes &out, bool track);
+    /** Mark every target reading one of @p lanes of plane word @p w. */
+    void
+    markWord(uint32_t w, uint64_t lanes)
+    {
+        for (const WordMark &m : cn.marksOf(w)) {
+            if (m.lanes & lanes)
+                markTarget(m.target);
+        }
+    }
 };
 
 } // namespace glifs

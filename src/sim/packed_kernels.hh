@@ -41,6 +41,29 @@ struct Planes
     bool operator==(const Planes &o) const = default;
 };
 
+/**
+ * Encode known/value/taint lane masks (the form of SymState and
+ * MemWord; a value bit on an unknown lane is ignored) as a Planes
+ * word. knownOf()/valueOf() decode it again, agreeing with getLane().
+ */
+inline Planes
+fromKnown(uint64_t known, uint64_t value, uint64_t taint)
+{
+    return {~(known & value), ~known | value, taint};
+}
+
+inline uint64_t
+knownOf(const Planes &p)
+{
+    return ~(p.lo & p.hi);
+}
+
+inline uint64_t
+valueOf(const Planes &p)
+{
+    return ~p.lo;
+}
+
 /** Encode one Signal into lane @p lane of a Planes word. */
 inline void
 setLane(Planes &p, unsigned lane, const Signal &s)

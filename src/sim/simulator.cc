@@ -167,6 +167,67 @@ Simulator::markMemDirty(MemId mem)
 }
 
 void
+Simulator::readFlops(std::span<uint64_t> known, std::span<uint64_t> value,
+                     std::span<uint64_t> taint) const
+{
+    if (backendSel == SimBackend::Packed) {
+        // Q word i holds flops [64 i, 64 i + lanes) in nl.dffs() order.
+        const CompiledNetlist &cn = packed->program();
+        for (size_t i = 0; i < cn.dffWords.size(); ++i) {
+            const DffWord &dw = cn.dffWords[i];
+            const packed::Planes &q = sigs.netPlanes()[dw.qWord];
+            known[i] |= packed::knownOf(q) & dw.laneMask;
+            value[i] |= packed::valueOf(q) & dw.laneMask;
+            taint[i] |= q.tnt & dw.laneMask;
+        }
+        return;
+    }
+    const std::vector<GateId> &dffs = nl.dffs();
+    for (size_t i = 0; i < dffs.size(); ++i) {
+        const Signal s = sigs.net(nl.gate(dffs[i]).out);
+        known[i / 64] |= static_cast<uint64_t>(s.known()) << (i % 64);
+        value[i / 64] |= static_cast<uint64_t>(s.value == Tern::One)
+                         << (i % 64);
+        taint[i / 64] |= static_cast<uint64_t>(s.taint) << (i % 64);
+    }
+}
+
+void
+Simulator::writeFlops(std::span<const uint64_t> known,
+                      std::span<const uint64_t> value,
+                      std::span<const uint64_t> taint)
+{
+    if (backendSel == SimBackend::Packed) {
+        const CompiledNetlist &cn = packed->program();
+        for (size_t i = 0; i < cn.dffWords.size(); ++i) {
+            const DffWord &dw = cn.dffWords[i];
+            packed->storeWord(sigs.netPlanes(), dw.qWord, dw.laneMask,
+                              packed::fromKnown(known[i], value[i],
+                                                taint[i]),
+                              !allDirty);
+        }
+        return;
+    }
+    const std::vector<GateId> &dffs = nl.dffs();
+    for (size_t i = 0; i < dffs.size(); ++i) {
+        const unsigned b = i % 64;
+        const bool k = (known[i / 64] >> b) & 1;
+        sigs.setNet(nl.gate(dffs[i]).out,
+                    Signal{k ? ternBool((value[i / 64] >> b) & 1)
+                             : Tern::X,
+                           ((taint[i / 64] >> b) & 1) != 0});
+    }
+}
+
+void
+Simulator::writeMem(MemId mem, const BitPlane &known, const BitPlane &value,
+                    const BitPlane &taint, size_t pos)
+{
+    if (sigs.mem(mem).loadFrom(known, value, taint, pos))
+        markMemDirty(mem);
+}
+
+void
 Simulator::evalGate(GateId gid, const GliftTables &glift)
 {
     const Gate &g = nl.gate(gid);
@@ -205,15 +266,18 @@ Simulator::evalMemRead(MemId m, bool track)
 {
     const MemoryDecl &decl = nl.memory(m);
     const MemWord data = readPort(m);
-    for (unsigned b = 0; b < decl.width; ++b) {
-        const NetId rd = decl.readData[b];
-        const Signal s = data.bit(b);
-        if (sigs.net(rd) == s)
-            continue;
-        sigs.setNet(rd, s);
-        if (track)
-            packed->markConsumersDirty(rd);
+    if (backendSel == SimBackend::Packed) {
+        // The read data owns lanes 0..width-1 of one plane word.
+        packed->storeWord(sigs.netPlanes(),
+                          packed->program().memReadWord[m],
+                          lowMask(decl.width),
+                          packed::fromKnown(data.known, data.value,
+                                            data.taint),
+                          track);
+        return;
     }
+    for (unsigned b = 0; b < decl.width; ++b)
+        sigs.setNet(decl.readData[b], data.bit(b));
 }
 
 void
@@ -340,11 +404,13 @@ Simulator::runUnitPacked(uint32_t unit, bool track, size_t &evaluated,
         return;
     }
     const PackedBatch &pb = pe.program().batches[u.index];
-    const size_t tog = pe.runBatch(u.index, sigs, track);
+    const uint64_t tog = pe.runBatch(u.index, sigs, track);
     ++wordEvals;
     evaluated += pb.lanes;
-    if (togglesOn)
-        toggles.combToggles[static_cast<size_t>(pb.kind)] += tog;
+    if (togglesOn) {
+        toggles.combToggles[static_cast<size_t>(pb.kind)] +=
+            std::popcount(tog);
+    }
 }
 
 void
@@ -425,11 +491,11 @@ Simulator::clockEdgePacked()
     // The consumers of changed Q nets seed the next settle and
     // (through the Q entries of the consumer index) re-arm the dff
     // words that must latch again next edge.
-    size_t tog = 0;
-    for (uint32_t i : dffRunScratch)
-        tog += pe.commitDffWord(i, sigs, track);
-    if (togglesOn)
-        toggles.dffToggles += tog;
+    for (uint32_t i : dffRunScratch) {
+        const uint64_t tog = pe.commitDffWord(i, sigs, track);
+        if (togglesOn)
+            toggles.dffToggles += std::popcount(tog);
+    }
 
     SimStats &st = simStats();
     ++st.clockEdges;

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "netlist/levelize.hh"
@@ -98,12 +99,33 @@ class Simulator
     void markMemDirty(MemId mem);
 
     /**
+     * Flip-flop state as known/value/taint bit words: flop i of
+     * nl.dffs() is bit i % 64 of word i / 64, the layout of a
+     * SymState's flop slots. readFlops() ORs every flop into the words
+     * (a plane word at a time on the packed path) and leaves the bits
+     * past the last flop alone; writeFlops() is a tracked store of
+     * every flop from the same bits (a value bit on an unknown flop is
+     * ignored), marking exactly the consumers of the flops it changes.
+     */
+    void readFlops(std::span<uint64_t> known, std::span<uint64_t> value,
+                   std::span<uint64_t> taint) const;
+    void writeFlops(std::span<const uint64_t> known,
+                    std::span<const uint64_t> value,
+                    std::span<const uint64_t> taint);
+
+    /** Tracked store of memory @p mem from bits [pos, pos + cells) of
+     *  three planes (MemPlanes::loadFrom); the read port is marked
+     *  only if a cell changed. */
+    void writeMem(MemId mem, const BitPlane &known, const BitPlane &value,
+                  const BitPlane &taint, size_t pos);
+
+    /**
      * Invalidate the whole dirty set: the next evalComb() runs every
      * compiled unit once, untracked, and the next edge latches every
      * flip-flop. Required after any bulk write to state() that
-     * bypasses the tracked setters (symbolic state restore, checkpoint
-     * resume, *-logic saturation); the written values are already in
-     * the planes, only the schedule is reset.
+     * bypasses the tracked setters (a SymState restored through
+     * state(), checkpoint resume, *-logic saturation); the written
+     * values are already in the planes, only the schedule is reset.
      */
     void markAllDirty() { allDirty = true; }
 

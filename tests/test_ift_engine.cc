@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -469,6 +470,28 @@ expectSameRun(const EngineResult &memo, const EngineResult &plain)
         EXPECT_EQ(a.endInstr, b.endInstr) << "node " << i;
         EXPECT_EQ(a.end, b.end) << "node " << i;
     }
+}
+
+// The shortest watchdog interval (64 cycles): a concrete reset at a
+// jump's commit on one path, merged with the path that took the jump,
+// leaves the instruction address X under a PC the branch then
+// concretizes. The engine fans that state out like an unknown PC, so
+// the audit ends with a verdict instead of an internal error, and the
+// oracle reports exactly what the packed path does.
+TEST_F(IftTest, ShortWatchdogIntervalEndsWithAVerdict)
+{
+    const MicroBenchmark rtos = rtosProtected(0);
+    const ProgramImage image = assembleSource(rtos.source);
+    const EngineResult packed =
+        IftEngine(*soc, rtos.policy, EngineConfig{}).run(image);
+    EXPECT_TRUE(packed.completed) << packed.summary();
+    EXPECT_NE(packed.verdict(), Verdict::UnknownDegraded) << packed.summary();
+    // GLIFS_SIM_INTERP is read where run() builds its Simulator.
+    setenv("GLIFS_SIM_INTERP", "1", 1);
+    const EngineResult oracle =
+        IftEngine(*soc, rtos.policy, EngineConfig{}).run(image);
+    unsetenv("GLIFS_SIM_INTERP");
+    expectSameRun(packed, oracle);
 }
 
 // Every kernel and the protected MiniRTOS, precise and *-logic: the

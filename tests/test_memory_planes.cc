@@ -377,9 +377,12 @@ TEST(MemoryPlanes, SnapshotCopiesAreExact)
             ASSERT_EQ(v.get(i), in && s.value == Tern::One) << i;
             ASSERT_EQ(t.get(i), in && s.taint) << i;
         }
+        // loadFrom reports whether any cell changed: a tracked restore
+        // re-reads the memory only then.
         MemPlanes back(37, 17);
-        back.loadFrom(k, v, t, pos);
+        EXPECT_TRUE(back.loadFrom(k, v, t, pos));
         ASSERT_EQ(back, mem);
+        EXPECT_FALSE(back.loadFrom(k, v, t, pos));
 
         // Value bits on unknown cells (a state read from a file need
         // not be canonical) are dropped: those cells load as X.
@@ -391,6 +394,17 @@ TEST(MemoryPlanes, SnapshotCopiesAreExact)
         MemPlanes loose(37, 17);
         loose.loadFrom(k, vLoose, t, pos);
         ASSERT_EQ(loose, mem);
+        EXPECT_FALSE(back.loadFrom(k, vLoose, t, pos));
+
+        // One changed cell, the last one included, is a change.
+        for (size_t cell : {size_t{0}, size_t{300}, mem.cells() - 1}) {
+            BitPlane t2 = t;
+            t2.set(pos + cell, !t2.get(pos + cell));
+            EXPECT_TRUE(back.loadFrom(k, v, t2, pos)) << cell;
+            EXPECT_EQ(back.cell(cell).taint, t2.get(pos + cell));
+            EXPECT_TRUE(back.loadFrom(k, v, t, pos)) << cell;
+            ASSERT_EQ(back, mem);
+        }
     }
 }
 

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 #include <vector>
 
 #include "ift/path_sim.hh"
@@ -212,12 +213,24 @@ TEST(CompiledNetlist, SocProgramInvariantsHold)
     EXPECT_EQ(lanes, cn.combLanes);
 
     // Every producer unit strictly precedes all of its consuming
-    // units, so the ascending dirty-unit drain settles in one pass.
-    for (NetId n = 0; n < nl.numNets(); ++n) {
-        const int32_t p = cn.producerUnit[n];
-        for (uint32_t t : cn.consumersOf(n)) {
-            if (t < cn.units.size() && p >= 0) {
-                EXPECT_GT(t, static_cast<uint32_t>(p)) << "net " << n;
+    // units, so the ascending dirty-unit drain settles in one pass:
+    // each unit a word's index marks runs after the producer of every
+    // lane it reads.
+    ASSERT_EQ(cn.markOffsets.size(), cn.planeWords + 1);
+    for (uint32_t w = 0; w < cn.planeWords; ++w) {
+        for (const WordMark &m : cn.marksOf(w)) {
+            if (m.target >= cn.units.size())
+                continue;
+            for (unsigned lane = 0; lane < 64; ++lane) {
+                if (!((m.lanes >> lane) & 1))
+                    continue;
+                const NetId n = cn.slotNet[(w << 6) + lane];
+                ASSERT_NE(n, kNoNet) << "word " << w << " lane " << lane;
+                const int32_t p = cn.producerUnit[n];
+                if (p >= 0) {
+                    EXPECT_GT(m.target, static_cast<uint32_t>(p))
+                        << "net " << n;
+                }
             }
         }
     }
@@ -232,6 +245,100 @@ TEST(CompiledNetlist, SocProgramInvariantsHold)
         EXPECT_EQ(dw.rstVal & ~dw.laneMask, 0u);
     }
     EXPECT_EQ(dffLanes, nl.dffs().size());
+}
+
+TEST(CompiledNetlist, WordIndexMatchesPerNetConsumers)
+{
+    Soc soc;
+    const Netlist &nl = soc.netlist();
+    const CompiledNetlist cn = compileNetlist(nl, levelize(nl));
+    const uint32_t numUnits = static_cast<uint32_t>(cn.units.size());
+
+    // The consumer relation per net, straight from the netlist: the
+    // unit of every gate or read port reading it, and the dff word of
+    // every flop reading it through D/RST/EN or owning it as Q.
+    std::vector<std::set<uint32_t>> want(nl.numNets());
+    for (GateId g = 0; g < nl.numGates(); ++g) {
+        const Gate &gate = nl.gate(g);
+        if (gate.type != GateType::Comb)
+            continue;
+        for (unsigned i = 0; i < gateArity(gate.kind); ++i) {
+            if (gate.in[i] != kNoNet) {
+                want[gate.in[i]].insert(
+                    static_cast<uint32_t>(cn.producerUnit[gate.out]));
+            }
+        }
+    }
+    for (size_t i = 0; i < nl.dffs().size(); ++i) {
+        const Gate &ff = nl.gate(nl.dffs()[i]);
+        const uint32_t target = numUnits + static_cast<uint32_t>(i / 64);
+        for (unsigned in = 0; in < 3; ++in) {
+            if (ff.in[in] != kNoNet)
+                want[ff.in[in]].insert(target);
+        }
+        want[ff.out].insert(target);
+    }
+    for (MemId m = 0; m < nl.numMemories(); ++m) {
+        for (NetId a : nl.memory(m).readAddr) {
+            if (a != kNoNet)
+                want[a].insert(cn.unitOfMem[m]);
+        }
+    }
+
+    // The word index holds one pair per distinct target of a word,
+    // and the targets whose mask has a lane are that net's consumers.
+    size_t pairs = 0;
+    for (uint32_t w = 0; w < cn.planeWords; ++w) {
+        std::set<uint32_t> seen;
+        for (const WordMark &m : cn.marksOf(w)) {
+            EXPECT_TRUE(seen.insert(m.target).second)
+                << "duplicate target " << m.target << " in word " << w;
+            EXPECT_NE(m.lanes, 0u) << "word " << w;
+            EXPECT_LT(m.target, numUnits + cn.dffWords.size());
+            ++pairs;
+        }
+        for (unsigned lane = 0; lane < 64; ++lane) {
+            const NetId n = cn.slotNet[(w << 6) + lane];
+            std::set<uint32_t> got;
+            for (const WordMark &m : cn.marksOf(w)) {
+                if ((m.lanes >> lane) & 1)
+                    got.insert(m.target);
+            }
+            if (n == kNoNet) {
+                EXPECT_TRUE(got.empty()) << "unused slot " << lane
+                                         << " of word " << w;
+                continue;
+            }
+            EXPECT_EQ(got, want[n]) << "net " << n << " (" << nl.net(n).name
+                                    << ")";
+        }
+    }
+    EXPECT_EQ(pairs, cn.marks.size());
+}
+
+TEST(CompiledNetlist, FlopAndReadPortLanesFollowTheNetlist)
+{
+    // Flop i of nl.dffs() is lane i % 64 of Q word i / 64, the bit a
+    // SymState gives it, so flop state moves a plane word at a time.
+    Soc soc;
+    const Netlist &nl = soc.netlist();
+    const CompiledNetlist cn = compileNetlist(nl, levelize(nl));
+    ASSERT_EQ(cn.dffWords.size(), (nl.dffs().size() + 63) / 64);
+    for (size_t i = 0; i < nl.dffs().size(); ++i) {
+        const DffWord &dw = cn.dffWords[i / 64];
+        EXPECT_EQ(cn.slotOfNet[nl.gate(nl.dffs()[i]).out],
+                  (dw.qWord << 6) + i % 64)
+            << "flop " << i;
+    }
+    // A memory's read data bit b is lane b of its read word.
+    for (MemId m = 0; m < nl.numMemories(); ++m) {
+        const MemoryDecl &decl = nl.memory(m);
+        for (unsigned b = 0; b < decl.width; ++b) {
+            EXPECT_EQ(cn.slotOfNet[decl.readData[b]],
+                      (cn.memReadWord[m] << 6) + b)
+                << decl.name << " bit " << b;
+        }
+    }
 }
 
 TEST(PackedEvalState, SignalStateRoundTripsOnBothMaps)

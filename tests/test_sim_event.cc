@@ -21,6 +21,7 @@
 
 #include <cstdlib>
 #include <random>
+#include <string>
 
 #include "assembler/assembler.hh"
 #include "base/stats.hh"
@@ -370,6 +371,161 @@ TEST(SimEventFuzz, BulkRestoreMatchesOracle)
         runBulkRestore(seed, 150);
 }
 
+/**
+ * A random SymState over @p layout: every slot an independent draw of
+ * the known, value and taint bits, so unknown slots carry value bits
+ * as a state read from a file may.
+ */
+SymState
+randomSymState(std::mt19937 &rng, const SymLayout &layout)
+{
+    BitPlane k(layout.slots());
+    BitPlane v(layout.slots());
+    BitPlane t(layout.slots());
+    for (size_t i = 0; i < layout.slots(); ++i) {
+        const uint32_t r = rng();
+        k.set(i, (r & 3) != 0);
+        v.set(i, (r & 4) != 0);
+        t.set(i, (r & 8) != 0);
+    }
+    SymState s(layout);
+    s.setPlanes(std::move(k), std::move(v), std::move(t));
+    return s;
+}
+
+/**
+ * Tracked restore: SymStates restored into a Simulator one after
+ * another with no markAllDirty(), so the packed path re-settles only
+ * what each restore changed. The states are random, or captured from
+ * the run with a few slots redrawn (the common case: a segment start
+ * close to the state the simulator holds), or captured unchanged.
+ * Mixed with settles, edges, post-settle overrides of driven nets and
+ * the POR fork pattern (capture, override, latch, restore, settle,
+ * override, latch). Every net and memory cell must match the oracle
+ * after every settle and edge, and a capture through the simulator
+ * must equal one through its SignalState.
+ */
+void
+runTrackedRestore(const Netlist &nl, const std::vector<NetId> &inputs,
+                  std::mt19937 &rng, int cycles, const std::string &what)
+{
+    Simulator packed(nl);
+    Simulator oracle(nl);
+    oracle.setBackend(SimBackend::Interp);
+    Simulator *const sims[] = {&packed, &oracle};
+    const SymLayout layout(nl);
+    std::vector<NetId> driven;
+    for (const Gate &g : nl.gates()) {
+        if (g.type == GateType::Comb)
+            driven.push_back(g.out);
+    }
+    ASSERT_FALSE(driven.empty());
+
+    auto settle = [&](const char *when, int c) {
+        for (Simulator *sim : sims)
+            sim->evalComb();
+        ASSERT_TRUE(statesEqual(nl, packed, oracle))
+            << "after evalComb " << when << ", cycle " << c << ", "
+            << what;
+    };
+    auto edge = [&](const char *when, int c) {
+        for (Simulator *sim : sims)
+            sim->clockEdge();
+        ASSERT_TRUE(statesEqual(nl, packed, oracle))
+            << "after clockEdge " << when << ", cycle " << c << ", "
+            << what;
+    };
+    auto capture = [&](int c) {
+        SymState viaSim(layout);
+        viaSim.capture(layout, packed);
+        SymState viaState(layout);
+        viaState.capture(layout, packed.state());
+        SymState viaOracle(layout);
+        viaOracle.capture(layout, oracle);
+        EXPECT_TRUE(viaSim == viaState) << "cycle " << c << ", " << what;
+        EXPECT_TRUE(viaSim == viaOracle) << "cycle " << c << ", " << what;
+        return viaSim;
+    };
+    auto restore = [&](const SymState &s) {
+        for (Simulator *sim : sims)
+            s.restore(layout, *sim);
+    };
+
+    for (int c = 0; c < cycles; ++c) {
+        for (NetId in : inputs) {
+            if (rng() & 1)
+                continue;
+            const Signal s = randSignal(rng);
+            for (Simulator *sim : sims)
+                sim->setInput(in, s);
+        }
+        switch (rng() % 4) {
+        case 0:
+            restore(randomSymState(rng, layout));
+            break;
+        case 1: {
+            SymState s = capture(c);
+            for (int i = 1 + rng() % 4; i > 0; --i)
+                s.setSlot(rng() % layout.slots(), randSignal(rng));
+            restore(s);
+            break;
+        }
+        case 2:
+            restore(capture(c));
+            break;
+        default:
+            break;
+        }
+        settle("restore", c);
+
+        switch (rng() % 4) {
+        case 0: {
+            // Override a driven net after the settle: visible to the
+            // edge, recomputed by the next settle.
+            const NetId n = driven[rng() % driven.size()];
+            const Signal s = randSignal(rng);
+            for (Simulator *sim : sims)
+                sim->setNet(n, s);
+            break;
+        }
+        case 1: {
+            // The POR fork: latch the fired branch under one override,
+            // come back to the pre-fork state and latch the other.
+            const NetId n = driven[rng() % driven.size()];
+            const SymState pre = capture(c);
+            const Signal fired = randSignal(rng);
+            for (Simulator *sim : sims)
+                sim->setNet(n, fired);
+            edge("fired branch", c);
+            capture(c);
+            restore(pre);
+            settle("not-fired replay", c);
+            const Signal held = randSignal(rng);
+            for (Simulator *sim : sims)
+                sim->setNet(n, held);
+            break;
+        }
+        case 2:
+            // Restore, then latch with no settle between.
+            restore(randomSymState(rng, layout));
+            break;
+        default:
+            break;
+        }
+        edge("", c);
+    }
+}
+
+TEST(SimEventFuzz, TrackedRestoreMatchesOracle)
+{
+    for (uint32_t seed = 1; seed <= 20; ++seed) {
+        std::mt19937 rng(seed);
+        const RandomDesign d = buildRandomDesign(rng);
+        runTrackedRestore(d.nl, d.inputs, rng, 150,
+                          "seed " + std::to_string(seed));
+    }
+}
+
 TEST(SimEventFuzz, BackendSwitchMidRunStaysConsistent)
 {
     std::mt19937 rng(42);
@@ -538,6 +694,15 @@ TEST_F(SimEventSoc, SymbolicLockstepSymStatesMatch)
         }
     }
     ASSERT_TRUE(statesEqual(nl, packed, oracle));
+}
+
+TEST_F(SimEventSoc, TrackedRestoreMatchesOracle)
+{
+    // The IoT430's flops span several Q words and its RAM starts
+    // mid-word in a SymState: every word boundary of the restore.
+    const Netlist &nl = soc->netlist();
+    std::mt19937 rng(11);
+    runTrackedRestore(nl, nl.inputs(), rng, 25, "IoT430");
 }
 
 TEST_F(SimEventSoc, PerCycleTaintEqualsSegmentTaintDelta)

@@ -195,10 +195,40 @@ TEST(TelemetryFraming, ReservedTypeFiveFrameIsSkipped)
     EXPECT_FALSE(r.finish());
     EXPECT_FALSE(r.poisoned());
     EXPECT_EQ(r.tornFrames(), 0u);
+    // A valid frame of a reserved type is not corruption.
+    EXPECT_EQ(r.crcErrors(), 0u);
+    EXPECT_EQ(r.frames(), 2u);
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].type, EventType::Lifecycle);
     EXPECT_EQ(out[1].type, EventType::Heartbeat);
     EXPECT_EQ(out[1].cycles, 123456u);
+}
+
+/** A known type whose payload does not decode (a truncated string
+ *  under a correct CRC) still counts as damage. */
+TEST(TelemetryFraming, MalformedKnownTypeFrameIsCounted)
+{
+    // The first string's length prefix claims 9 bytes; 2 follow.
+    std::string bad;
+    const std::string payload = {'\x09', '\0', '\0', '\0', 'c', 'y'};
+    const uint32_t len = static_cast<uint32_t>(payload.size());
+    for (int i = 0; i < 4; ++i)
+        bad.push_back(static_cast<char>(len >> (8 * i)));
+    bad.push_back(static_cast<char>(EventType::BudgetUsage));
+    bad += payload;
+    const uint32_t crc = crc32(bad.data() + 4, bad.size() - 4);
+    for (int i = 0; i < 4; ++i)
+        bad.push_back(static_cast<char>(crc >> (8 * i)));
+    const std::string stream = bad +
+                               telemetry::encodeFrame(sampleHeartbeat());
+    Reader r;
+    std::vector<Event> out;
+    r.feed(stream.data(), stream.size(), out);
+    EXPECT_FALSE(r.finish());
+    EXPECT_FALSE(r.poisoned());
+    EXPECT_EQ(r.crcErrors(), 1u);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].type, EventType::Heartbeat);
 }
 
 /** Every possible truncation point: whole frames before the cut
