@@ -360,12 +360,9 @@ struct RunCtx
             escalate(ev, instr_addr);
         }
 
-        // An unknown instruction address under a known PC fans out
-        // over the address bits alone.
-        bool overflow = ia_xbits > ps.cfg.maxBranchBits;
-        std::vector<uint16_t> pcs =
-            pc_xbits == 0 ? std::vector<uint16_t>{ps.statePcBase(cur)}
-                          : ps.candidatePcs(instr_addr, cur, overflow);
+        bool overflow = false;
+        std::vector<PathSim::BranchChild> children =
+            ps.branchChildren(instr_addr, cur, overflow);
         if (overflow) {
             // Hard fanout exhaustion: unbounded indirect control flow.
             // Degrade the path to the *-logic abstraction instead of
@@ -386,19 +383,15 @@ struct RunCtx
         ++branchPoints;
         ++es.branchPoints;
         ++es.pcFanouts;
-        const size_t width = pcs.size() << ia_xbits;
-        es.fanoutWidth.sample(static_cast<double>(width));
+        es.fanoutWidth.sample(static_cast<double>(children.size()));
         GLIFS_TRACE_INSTANT_ARGS(
             "engine", "branch",
             add("instr", hex16(instr_addr))
-                .add("successors", static_cast<uint64_t>(width))
+                .add("successors", static_cast<uint64_t>(children.size()))
                 .add("cycle", totalCycles));
-        for (uint16_t pc : pcs) {
-            for (SymState &child :
-                 ps.concretizeInstrAddr(ps.concretizePc(cur, pc))) {
-                uint32_t cn = tree.addNode(node, pc);
-                stack.push_back({std::move(child), cn});
-            }
+        for (PathSim::BranchChild &child : children) {
+            uint32_t cn = tree.addNode(node, child.pc);
+            stack.push_back({std::move(child.state), cn});
         }
         es.frontierPeak.set(static_cast<double>(stack.size()));
         gov.noteFrontier(stack.size());

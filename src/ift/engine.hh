@@ -55,7 +55,9 @@ struct EngineConfig
     uint64_t maxCycles = 2'000'000;
 
     /**
-     * Max unknown PC bits enumerated at a branch. Exceeding it is a
+     * Max unknown PC bits enumerated at a branch; a branch has at
+     * most 2^maxBranchBits successors, counting those of X
+     * instruction-address bits. Exceeding it is a
      * hard branch-fanout exhaustion: the offending path is saturated
      * to the *-logic abstraction and terminated (recorded as a
      * degradation), so long runs always produce a report.

@@ -1,5 +1,6 @@
 #include "ift/path_sim.hh"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "base/logging.hh"
@@ -182,7 +183,8 @@ PathSim::candidatePcs(uint16_t instr_addr, const SymState &s,
     std::optional<Instr> instr = instrAt(instr_addr);
 
     std::vector<uint16_t> out;
-    if (cfg.preciseJumpTargets && instr && instr->op == Op::J) {
+    if (cfg.preciseJumpTargets && instr && instr->op == Op::J &&
+        stateInstrAddrXBits(s).empty()) {
         // Precise CFG successors of a conditional jump.
         uint16_t fall = static_cast<uint16_t>(instr_addr + 1);
         uint16_t target =
@@ -246,19 +248,32 @@ PathSim::stateInstrAddrXBits(const SymState &s) const
     return xs;
 }
 
-std::vector<SymState>
-PathSim::concretizeInstrAddr(SymState s) const
+std::vector<PathSim::BranchChild>
+PathSim::branchChildren(uint16_t instr_addr, const SymState &s,
+                        bool &overflow)
 {
+    const std::vector<uint16_t> pcs =
+        statePcXBits(s).empty() ? std::vector<uint16_t>{statePcBase(s)}
+                                : candidatePcs(instr_addr, s, overflow);
     const std::vector<unsigned> xbits = stateInstrAddrXBits(s);
-    std::vector<SymState> out;
-    for (size_t c = 0; c < (1ULL << xbits.size()); ++c) {
-        SymState child = s;
-        for (size_t k = 0; k < xbits.size(); ++k) {
-            const size_t slot = instrAddrSlots[xbits[k]];
-            child.setSlot(slot, Signal{ternBool((c >> k) & 1ULL),
-                                       s.slot(slot).taint});
+    // The bound is on the product; each factor is at most 2^16.
+    if (overflow || xbits.size() > cfg.maxBranchBits ||
+        (pcs.size() << xbits.size()) >
+            (size_t{1} << std::min(cfg.maxBranchBits, 32u))) {
+        overflow = true;
+        return {};
+    }
+    std::vector<BranchChild> out;
+    for (uint16_t pc : pcs) {
+        for (size_t c = 0; c < (size_t{1} << xbits.size()); ++c) {
+            SymState child = concretizePc(s, pc);
+            for (size_t k = 0; k < xbits.size(); ++k) {
+                const size_t slot = instrAddrSlots[xbits[k]];
+                child.setSlot(slot, Signal{ternBool((c >> k) & 1u),
+                                           s.slot(slot).taint});
+            }
+            out.push_back({pc, std::move(child)});
         }
-        out.push_back(std::move(child));
     }
     return out;
 }

@@ -184,7 +184,11 @@ class PathSim
      * bits (Algorithm 1, possible_PC_next_vals). Sets @p overflow
      * (and returns nothing) when the enumeration would exceed the
      * hard branch-fanout budget; the caller degrades the path to the
-     * *-logic abstraction instead of aborting the analysis.
+     * *-logic abstraction instead of aborting the analysis. A state
+     * whose instruction address is also X merges paths at different
+     * instructions (stateInstrAddrXBits), so the precise successors of
+     * a jump at @p instr_addr do not bound it: its X PC bits are
+     * enumerated, which keeps a watchdog reset's PC 0.
      */
     std::vector<uint16_t> candidatePcs(uint16_t instr_addr,
                                        const SymState &s,
@@ -203,10 +207,24 @@ class PathSim
      */
     std::vector<unsigned> stateInstrAddrXBits(const SymState &s) const;
 
-    /** The children of @p s, one per assignment of its unknown
-     *  instruction-address bits (taints retained); just @p s when it
-     *  has none. */
-    std::vector<SymState> concretizeInstrAddr(SymState s) const;
+    /** One successor of a branch: its start PC and state. */
+    struct BranchChild
+    {
+        uint16_t pc;
+        SymState state;
+    };
+
+    /**
+     * The concrete successors of a state that cannot start a segment
+     * (an X PC or instruction-address bit) ending at @p instr_addr:
+     * one per candidate PC and per assignment of the X
+     * instruction-address bits, taints retained. Sets @p overflow (and
+     * returns nothing) when there would be more than 2^maxBranchBits
+     * of them.
+     */
+    std::vector<BranchChild> branchChildren(uint16_t instr_addr,
+                                            const SymState &s,
+                                            bool &overflow);
 
     /**
      * *-logic abstraction: saturate all state to tainted-X, settle the

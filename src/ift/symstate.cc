@@ -138,6 +138,10 @@ SymState::capture(const SymLayout &layout, const SignalState &sigs)
 void
 SymState::capture(const SymLayout &layout, const Simulator &sim)
 {
+    if (sim.backend() == SimBackend::Interp) {
+        capture(layout, sim.state());
+        return;
+    }
     ++symStateStats().captures;
     clearFor(layout);
     sim.readFlops(known.words(), value.words(), taint.words());
@@ -163,6 +167,12 @@ SymState::restore(const SymLayout &layout, SignalState &sigs) const
 void
 SymState::restore(const SymLayout &layout, Simulator &sim) const
 {
+    // The interpreted oracle sweeps every gate on each settle and
+    // latches every flop on each edge, so it needs no marks.
+    if (sim.backend() == SimBackend::Interp) {
+        restore(layout, sim.state());
+        return;
+    }
     ++symStateStats().restores;
     GLIFS_ASSERT(known.size() == layout.slots(), "layout mismatch");
     sim.writeFlops(known.words(), value.words(), taint.words());

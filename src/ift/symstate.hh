@@ -74,7 +74,8 @@ class SymState
     /** Capture flops and memories from a simulation state (counted
      *  in symstate.captures). */
     void capture(const SymLayout &layout, const SignalState &sigs);
-    /** The same from a simulator, its flops a plane word at a time. */
+    /** The same from a simulator, its flops a plane word at a time
+     *  (the interpreted backend goes through its state()). */
     void capture(const SymLayout &layout, const Simulator &sim);
 
     /** Write flops and memories back into a simulation state (counted
@@ -84,7 +85,9 @@ class SymState
     void restore(const SymLayout &layout, SignalState &sigs) const;
     /** The same as a tracked store into @p sim (Simulator::writeFlops,
      *  Simulator::writeMem): the next settle runs only the logic
-     *  reading a flop or memory the restore changed. */
+     *  reading a flop or memory the restore changed. The interpreted
+     *  backend, which sweeps everything on each settle, takes the
+     *  untracked write above. */
     void restore(const SymLayout &layout, Simulator &sim) const;
 
     /**

@@ -62,7 +62,9 @@ MemPlanes::loadFrom(const BitPlane &k, const BitPlane &v,
     const uint64_t *vs = v.words().data() + pos / 64;
     const uint64_t *ts = t.words().data() + pos / 64;
     const unsigned sh = pos % 64;
-    // Source bits [pos + 64 i, pos + 64 i + 64): one or two words.
+    // Source bits [pos + 64 i, pos + 64 i + 64): one or two words,
+    // shifted by hand; a BitPlane::field() per word doubles the cost of
+    // the RAM load every segment start pays.
     auto at = [sh](const uint64_t *s, size_t i) {
         return sh ? (s[i] >> sh) | (s[i + 1] << (64 - sh)) : s[i];
     };

@@ -170,25 +170,16 @@ void
 Simulator::readFlops(std::span<uint64_t> known, std::span<uint64_t> value,
                      std::span<uint64_t> taint) const
 {
-    if (backendSel == SimBackend::Packed) {
-        // Q word i holds flops [64 i, 64 i + lanes) in nl.dffs() order.
-        const CompiledNetlist &cn = packed->program();
-        for (size_t i = 0; i < cn.dffWords.size(); ++i) {
-            const DffWord &dw = cn.dffWords[i];
-            const packed::Planes &q = sigs.netPlanes()[dw.qWord];
-            known[i] |= packed::knownOf(q) & dw.laneMask;
-            value[i] |= packed::valueOf(q) & dw.laneMask;
-            taint[i] |= q.tnt & dw.laneMask;
-        }
-        return;
-    }
-    const std::vector<GateId> &dffs = nl.dffs();
-    for (size_t i = 0; i < dffs.size(); ++i) {
-        const Signal s = sigs.net(nl.gate(dffs[i]).out);
-        known[i / 64] |= static_cast<uint64_t>(s.known()) << (i % 64);
-        value[i / 64] |= static_cast<uint64_t>(s.value == Tern::One)
-                         << (i % 64);
-        taint[i / 64] |= static_cast<uint64_t>(s.taint) << (i % 64);
+    GLIFS_ASSERT(backendSel == SimBackend::Packed,
+                 "readFlops on the interpreted backend");
+    // Q word i holds flops [64 i, 64 i + lanes) in nl.dffs() order.
+    const CompiledNetlist &cn = packed->program();
+    for (size_t i = 0; i < cn.dffWords.size(); ++i) {
+        const DffWord &dw = cn.dffWords[i];
+        const packed::Planes &q = sigs.netPlanes()[dw.qWord];
+        known[i] |= packed::knownOf(q) & dw.laneMask;
+        value[i] |= packed::valueOf(q) & dw.laneMask;
+        taint[i] |= q.tnt & dw.laneMask;
     }
 }
 
@@ -197,25 +188,14 @@ Simulator::writeFlops(std::span<const uint64_t> known,
                       std::span<const uint64_t> value,
                       std::span<const uint64_t> taint)
 {
-    if (backendSel == SimBackend::Packed) {
-        const CompiledNetlist &cn = packed->program();
-        for (size_t i = 0; i < cn.dffWords.size(); ++i) {
-            const DffWord &dw = cn.dffWords[i];
-            packed->storeWord(sigs.netPlanes(), dw.qWord, dw.laneMask,
-                              packed::fromKnown(known[i], value[i],
-                                                taint[i]),
-                              !allDirty);
-        }
-        return;
-    }
-    const std::vector<GateId> &dffs = nl.dffs();
-    for (size_t i = 0; i < dffs.size(); ++i) {
-        const unsigned b = i % 64;
-        const bool k = (known[i / 64] >> b) & 1;
-        sigs.setNet(nl.gate(dffs[i]).out,
-                    Signal{k ? ternBool((value[i / 64] >> b) & 1)
-                             : Tern::X,
-                           ((taint[i / 64] >> b) & 1) != 0});
+    GLIFS_ASSERT(backendSel == SimBackend::Packed,
+                 "writeFlops on the interpreted backend");
+    const CompiledNetlist &cn = packed->program();
+    for (size_t i = 0; i < cn.dffWords.size(); ++i) {
+        const DffWord &dw = cn.dffWords[i];
+        packed->storeWord(sigs.netPlanes(), dw.qWord, dw.laneMask,
+                          packed::fromKnown(known[i], value[i], taint[i]),
+                          !allDirty);
     }
 }
 

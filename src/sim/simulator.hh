@@ -102,10 +102,12 @@ class Simulator
      * Flip-flop state as known/value/taint bit words: flop i of
      * nl.dffs() is bit i % 64 of word i / 64, the layout of a
      * SymState's flop slots. readFlops() ORs every flop into the words
-     * (a plane word at a time on the packed path) and leaves the bits
-     * past the last flop alone; writeFlops() is a tracked store of
-     * every flop from the same bits (a value bit on an unknown flop is
-     * ignored), marking exactly the consumers of the flops it changes.
+     * a plane word at a time and leaves the bits past the last flop
+     * alone; writeFlops() is a tracked store of every flop from the
+     * same bits (a value bit on an unknown flop is ignored), marking
+     * exactly the consumers of the flops it changes. Packed backend
+     * only: the interpreted oracle reads and writes flops through
+     * state().
      */
     void readFlops(std::span<uint64_t> known, std::span<uint64_t> value,
                    std::span<uint64_t> taint) const;

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
+#include <optional>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -474,8 +477,8 @@ expectSameRun(const EngineResult &memo, const EngineResult &plain)
 
 // The shortest watchdog interval (64 cycles): a concrete reset at a
 // jump's commit on one path, merged with the path that took the jump,
-// leaves the instruction address X under a PC the branch then
-// concretizes. The engine fans that state out like an unknown PC, so
+// leaves the PC and the instruction address X. The engine fans that
+// state out over both (MergedInstrAddrBranchKeepsResetSuccessor), so
 // the audit ends with a verdict instead of an internal error, and the
 // oracle reports exactly what the packed path does.
 TEST_F(IftTest, ShortWatchdogIntervalEndsWithAVerdict)
@@ -486,12 +489,122 @@ TEST_F(IftTest, ShortWatchdogIntervalEndsWithAVerdict)
         IftEngine(*soc, rtos.policy, EngineConfig{}).run(image);
     EXPECT_TRUE(packed.completed) << packed.summary();
     EXPECT_NE(packed.verdict(), Verdict::UnknownDegraded) << packed.summary();
+
+    // Some branch at a jump was enumerated past the jump's two
+    // successors (and PC 0, where POR forks start): the merged
+    // instruction address switched off the precise jump targets.
+    PathSim ps(*soc, rtos.policy, EngineConfig{}, image);
+    const std::vector<ExecNode> &nodes = packed.tree.all();
+    bool widened = false;
+    for (const ExecNode &n : nodes) {
+        if (n.parent < 0 || nodes[n.parent].end != PathEnd::Branched)
+            continue;
+        const uint16_t at = nodes[n.parent].endInstr;
+        const std::optional<Instr> in = ps.instrAt(at);
+        if (!in || in->op != Op::J)
+            continue;
+        const uint16_t fall = static_cast<uint16_t>(at + 1);
+        const uint16_t target = static_cast<uint16_t>(fall + in->jumpOff);
+        widened |= n.startPc != 0 && n.startPc != fall &&
+                   n.startPc != target;
+    }
+    EXPECT_TRUE(widened);
+
     // GLIFS_SIM_INTERP is read where run() builds its Simulator.
     setenv("GLIFS_SIM_INTERP", "1", 1);
     const EngineResult oracle =
         IftEngine(*soc, rtos.policy, EngineConfig{}).run(image);
     unsetenv("GLIFS_SIM_INTERP");
     expectSameRun(packed, oracle);
+}
+
+// A state at a jump's commit whose instruction-address bits are X
+// merges paths at different instructions (say, one reset to PC 0 by
+// the watchdog), so its successors are every value of its X PC bits,
+// not the jump's target and fall-through. The hard fan-out bound
+// counts the PC and instruction-address children together.
+TEST_F(IftTest, MergedInstrAddrBranchKeepsResetSuccessor)
+{
+    const ProgramImage image = assembleSource("        mov &0x0004, r4\n"
+                                              "        tst r4\n"
+                                              "        jz t1\n"
+                                              "        nop\n"
+                                              "        nop\n"
+                                              "t1:     halt\n");
+    PathSim ps(*soc, allClearPolicy(), EngineConfig{}, image);
+    uint16_t jz = 0;
+    while (!ps.instrAt(jz) || ps.instrAt(jz)->op != Op::J) {
+        ++jz;
+        ASSERT_LT(jz, image.words.size());
+    }
+    const uint16_t fall = static_cast<uint16_t>(jz + 1);
+    const uint16_t target =
+        static_cast<uint16_t>(fall + ps.instrAt(jz)->jumpOff);
+    ASSERT_NE(fall, 0u);
+
+    // PC: the bits set in either successor X, the rest 0, so both
+    // successors and PC 0 are candidates. Instruction address: jz
+    // with its low ia_x bits X.
+    const uint16_t pc_xmask = fall | target;
+    auto merged = [&](unsigned ia_x) {
+        SymState s(ps.layout);
+        for (size_t i = 0; i < ps.pcSlots.size(); ++i) {
+            s.setSlot(ps.pcSlots[i], ((pc_xmask >> i) & 1u)
+                                         ? Signal{Tern::X, false}
+                                         : sigBool(false));
+        }
+        for (size_t i = 0; i < ps.instrAddrSlots.size(); ++i) {
+            s.setSlot(ps.instrAddrSlots[i],
+                      i < ia_x ? Signal{Tern::X, false}
+                               : sigBool(((jz >> i) & 1u) != 0));
+        }
+        return s;
+    };
+    auto pcsOf = [](const std::vector<PathSim::BranchChild> &cs) {
+        std::set<uint16_t> pcs;
+        for (const PathSim::BranchChild &c : cs)
+            pcs.insert(c.pc);
+        return pcs;
+    };
+    const unsigned pc_x = static_cast<unsigned>(std::popcount(pc_xmask));
+
+    // A known instruction address: the jump's precise successors.
+    bool overflow = false;
+    std::vector<PathSim::BranchChild> cs =
+        ps.branchChildren(jz, merged(0), overflow);
+    EXPECT_FALSE(overflow);
+    EXPECT_EQ(pcsOf(cs), (std::set<uint16_t>{target, fall}));
+
+    // Two X address bits: every PC value, PC 0 included, times the
+    // four addresses, each child concrete in both.
+    cs = ps.branchChildren(jz, merged(2), overflow);
+    EXPECT_FALSE(overflow);
+    EXPECT_EQ(cs.size(), size_t{4} << pc_x);
+    EXPECT_TRUE(pcsOf(cs).count(0));
+    EXPECT_TRUE(pcsOf(cs).count(fall));
+    for (const PathSim::BranchChild &c : cs) {
+        EXPECT_TRUE(ps.statePcXBits(c.state).empty());
+        EXPECT_TRUE(ps.stateInstrAddrXBits(c.state).empty());
+        EXPECT_EQ(ps.statePcBase(c.state), c.pc);
+    }
+
+    // The bound is on the product of both widths.
+    ps.cfg.maxBranchBits = pc_x + 2;
+    cs = ps.branchChildren(jz, merged(2), overflow);
+    EXPECT_FALSE(overflow);
+    EXPECT_EQ(cs.size(), size_t{4} << pc_x);
+    cs = ps.branchChildren(jz, merged(3), overflow);
+    EXPECT_TRUE(overflow);
+    EXPECT_TRUE(cs.empty());
+
+    // A known PC over X address bits alone is bounded too.
+    SymState known_pc = merged(pc_x + 3);
+    for (size_t slot : ps.pcSlots)
+        known_pc.setSlot(slot, sigBool(false));
+    overflow = false;
+    cs = ps.branchChildren(jz, known_pc, overflow);
+    EXPECT_TRUE(overflow);
+    EXPECT_TRUE(cs.empty());
 }
 
 // Every kernel and the protected MiniRTOS, precise and *-logic: the
