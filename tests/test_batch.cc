@@ -38,6 +38,7 @@
 #include "batch/runner.hh"
 #include "batch/scheduler.hh"
 #include "workloads/workload.hh"
+#include "test_hex.hh"
 #include "test_tmpdir.hh"
 
 #ifndef GLIFS_AUDIT_BIN
@@ -610,6 +611,45 @@ TEST(BatchJournalTest, SelfDisablesOnInjectedWriteFailure)
     BatchJournal::Replay r = BatchJournal::replay(path);
     EXPECT_EQ(r.fingerprint, "fp");
     EXPECT_TRUE(r.finished.empty());
+}
+
+TEST(BatchJournalTest, RecordBytesArePinned)
+{
+    // Journal v1, byte for byte: the header and one record of each
+    // type. A change here strands every journal already on disk.
+    const std::string path = tempDir("journal_golden") + "/batch.journal";
+    {
+        BatchJournal j = BatchJournal::create(path, "fp");
+        j.jobStarted(1, "a", "k");
+        j.cachePublished(1, "k");
+        JobOutcome o;
+        o.name = "a";
+        o.verdict = "secure";
+        o.exitCode = 0;
+        o.cache = CacheStatus::Hit;
+        o.attempts = 2;
+        o.resumed = true;
+        o.wallSeconds = 1.5;
+        o.violationCount = 3;
+        o.violationsJson = "[]";
+        o.detail = "d";
+        j.jobFinished(1, o);
+    }
+    const std::string file = readFile(path);
+    const std::string header = "474c46534a524e4c" "01000000";
+    // Each record: u32 payload length, u8 type, payload, u32 CRC-32.
+    const std::string manifest = "06000000" "01" "020000006670" "dcc87115";
+    const std::string started = "0e000000" "02"
+                                "01000000" "0100000061" "010000006b"
+                                "a1753029";
+    const std::string published = "09000000" "03"
+                                  "01000000" "010000006b" "5656c6f8";
+    const std::string finished =
+        "38000000" "04" "01000000" "0100000061" "06000000736563757265"
+        "00000000" "00" "02000000" "01" "000000000000f83f"
+        "0300000000000000" "020000005b5d" "0100000064" "29bf6b9b";
+    EXPECT_EQ(testutil::hexOf(file),
+              header + manifest + started + published + finished);
 }
 
 TEST(BatchJournalTest, FingerprintTracksManifestContent)

@@ -25,6 +25,7 @@
 #include "soc/soc.hh"
 #include "workloads/workload.hh"
 #include "test_fixtures.hh"
+#include "test_hex.hh"
 #include "test_tmpdir.hh"
 
 namespace glifs
@@ -525,6 +526,97 @@ TEST_F(CheckpointTest, InterruptedRunResumesToIdenticalResult)
     // violation (the old half-way cut is one of the former).
     EXPECT_GT(verdictsSeen[Verdict::UnknownDegraded], 0u);
     EXPECT_GT(verdictsSeen[Verdict::Violations], 0u);
+}
+
+/** A state of @p n slots whose known/value/taint bits are the low
+ *  bits of @p k, @p v and @p t. */
+SymState
+smallState(size_t n, uint64_t k, uint64_t v, uint64_t t)
+{
+    auto plane = [n](uint64_t bits) {
+        BitPlane p(n);
+        for (size_t i = 0; i < n; ++i)
+            p.set(i, (bits >> i) & 1);
+        return p;
+    };
+    SymState s;
+    s.setPlanes(plane(k), plane(v), plane(t));
+    return s;
+}
+
+/** One entry in every section of the body. */
+EngineCheckpoint
+goldenCheckpoint()
+{
+    EngineCheckpoint c;
+    c.fingerprint = 0x0123456789abcdefULL;
+    c.totalCycles = 1000;
+    c.pathsExplored = 7;
+    c.branchPoints = 3;
+    c.merges = 2;
+    c.subsumptions = 1;
+    c.level = DegradeLevel::WidenedMerging;
+    c.degradations.push_back({DegradeLevel::WidenedMerging,
+                              ResourceKind::Cycles, BudgetSeverity::Soft,
+                              875, 0x0122, "soft"});
+    c.violations.push_back({ViolationKind::StoreUntaintedPartition, 0x0020,
+                            9, 4, true, "st"});
+    c.everTainted = BitPlane(70);
+    c.everTainted.set(1, true);
+    c.everTainted.set(69, true);
+    c.table.emplace_back(0x121, smallState(5, 0x1F, 0x05, 0x02));
+    c.frontier.emplace_back(smallState(5, 0x0F, 0x03, 0x00), 0);
+    c.tree.push_back({0, -1, 0x0010, 12, 0x0022, PathEnd::Branched});
+    return c;
+}
+
+TEST_F(CheckpointTest, BodyAndHeaderBytesArePinned)
+{
+    // Checkpoint v2, byte for byte: a change here strands every
+    // snapshot already on disk, so it needs a version bump.
+    const EngineCheckpoint c = goldenCheckpoint();
+    std::string body;
+    c.encodeBody(body);
+    const std::string want =
+        // fingerprint, totalCycles, pathsExplored, branchPoints,
+        // merges, subsumptions; level
+        "efcdab8967452301" "e803000000000000" "0700000000000000"
+        "0300000000000000" "0200000000000000" "0100000000000000" "01"
+        // 1 degradation: level, trigger, severity, cycle, instr, detail
+        "01000000" "01" "00" "00" "6b03000000000000" "2201"
+        "04000000736f6674"
+        // 1 violation: kind, instr, firstCycle, count, maskable, detail
+        "01000000" "02" "2000" "0900000000000000" "04000000" "01"
+        "020000007374"
+        // everTainted: 70 bits in two words
+        "4600000000000000" "0200000000000000" "2000000000000000"
+        // 1 table entry: key, known/value/taint planes of 5 bits
+        "01000000" "21010000" "0500000000000000" "1f00000000000000"
+        "0500000000000000" "0500000000000000" "0500000000000000"
+        "0200000000000000"
+        // 1 frontier entry: planes, node
+        "01000000" "0500000000000000" "0f00000000000000"
+        "0500000000000000" "0300000000000000" "0500000000000000"
+        "0000000000000000" "00000000"
+        // 1 tree node: id, parent, startPc, cycles, endInstr, end
+        "01000000" "00000000" "ffffffff" "1000" "0c00000000000000" "2200"
+        "03";
+    EXPECT_EQ(testutil::hexOf(body), want);
+
+    const std::string path = tempPath("golden.ckpt");
+    c.save(path);
+    std::ifstream in(path, std::ios::binary);
+    const std::string file((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    // Magic "GLFSCKPT", version 2, CRC-32 of the body.
+    EXPECT_EQ(testutil::hexOf(file.substr(0, 16)),
+              "474c4653434b5054" "02000000" "37ff936c");
+    EXPECT_EQ(file.substr(16), body);
+
+    // And the body decodes back to the same bytes.
+    std::string again;
+    EngineCheckpoint::decodeBody(body).encodeBody(again);
+    EXPECT_EQ(again, body);
 }
 
 TEST_F(CheckpointTest, RejectsGarbageFile)

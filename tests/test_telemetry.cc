@@ -36,6 +36,7 @@
 #include "base/hash.hh"
 #include "base/stats.hh"
 #include "base/telemetry.hh"
+#include "test_hex.hh"
 #include "test_tmpdir.hh"
 
 #ifndef GLIFS_AUDIT_BIN
@@ -159,6 +160,62 @@ TEST(TelemetryFraming, RoundTripsEveryEventType)
     EXPECT_EQ(out[3].severity, "hard");
     EXPECT_EQ(out[3].detail,
               "cycles hard threshold (60 simulated cycles)");
+}
+
+TEST(TelemetryFraming, FrameBytesArePinned)
+{
+    // One frame of each event type, byte for byte: a scheduler and its
+    // workers must agree on these across versions. Each frame is u32
+    // payload length, u8 type, payload, u32 CRC-32.
+    Event life;
+    life.type = EventType::Lifecycle;
+    life.phase = "finished";
+    life.exitCode = 1;
+    life.verdict = "v";
+    EXPECT_EQ(testutil::hexOf(telemetry::encodeFrame(life)),
+              "15000000" "01" "0800000066696e6973686564"
+              "01000000" "0100000076"
+              "c0ef4c64");
+
+    Event beat;
+    beat.type = EventType::Heartbeat;
+    beat.cycles = 1000;
+    beat.elapsedSeconds = 0.5;
+    beat.cyclesPerSec = 2000;
+    beat.frontier = 3;
+    beat.states = 4;
+    beat.rssBytes = 1 << 20;
+    beat.budgetUsed = 0.25;
+    EXPECT_EQ(testutil::hexOf(telemetry::encodeFrame(beat)),
+              "38000000" "02" "e803000000000000"
+              "000000000000e03f"
+              "0000000000409f40"
+              "0300000000000000"
+              "0400000000000000"
+              "0000100000000000"
+              "000000000000d03f"
+              "e6de49a8");
+
+    Event snap;
+    snap.type = EventType::StatsSnapshot;
+    snap.stats = {{"a.b", 1.0}, {"c", -2.5}};
+    EXPECT_EQ(testutil::hexOf(telemetry::encodeFrame(snap)),
+              "20000000" "03" "02000000"
+              "03000000612e62"
+              "000000000000f03f"
+              "0100000063"
+              "00000000000004c0"
+              "071ca133");
+
+    Event budget;
+    budget.type = EventType::BudgetUsage;
+    budget.resource = "cycles";
+    budget.severity = "soft";
+    budget.detail = "x";
+    EXPECT_EQ(testutil::hexOf(telemetry::encodeFrame(budget)),
+              "17000000" "04" "060000006379636c6573"
+              "04000000736f6674"
+              "0100000078" "2148209c");
 }
 
 TEST(TelemetryFraming, ByteAtATimeFeedStillDecodes)
