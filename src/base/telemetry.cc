@@ -5,10 +5,9 @@
 
 #include <cerrno>
 #include <csignal>
-#include <cstring>
 
-#include "base/hash.hh"
 #include "base/stats.hh"
+#include "base/wire.hh"
 
 namespace glifs::telemetry
 {
@@ -37,132 +36,37 @@ writerStats()
     return s;
 }
 
-// ---------------------------------------------------------------------
-// Little-endian payload encoding (the batch journal's scheme).
-// ---------------------------------------------------------------------
-
-void
-putU8(std::string &out, uint8_t v)
-{
-    out.push_back(static_cast<char>(v));
-}
-
-void
-putU32(std::string &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        putU8(out, static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::string &out, uint64_t v)
-{
-    putU32(out, static_cast<uint32_t>(v));
-    putU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void
-putStr(std::string &out, const std::string &s)
-{
-    putU32(out, static_cast<uint32_t>(s.size()));
-    out.append(s);
-}
-
-void
-putDouble(std::string &out, double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(out, bits);
-}
-
-/** Bounds-checked reader: `bad` instead of exceptions, so a malformed
- *  payload is handled like a torn frame. */
-struct PayloadReader
-{
-    const std::string &buf;
-    size_t pos = 0;
-    bool bad = false;
-
-    uint8_t
-    u8()
-    {
-        if (pos + 1 > buf.size()) {
-            bad = true;
-            return 0;
-        }
-        return static_cast<uint8_t>(buf[pos++]);
-    }
-
-    uint32_t
-    u32()
-    {
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= uint32_t{u8()} << (8 * i);
-        return v;
-    }
-
-    uint64_t
-    u64()
-    {
-        uint64_t lo = u32();
-        return lo | (uint64_t{u32()} << 32);
-    }
-
-    std::string
-    str()
-    {
-        uint32_t n = u32();
-        if (bad || pos + n > buf.size()) {
-            bad = true;
-            return "";
-        }
-        std::string s = buf.substr(pos, n);
-        pos += n;
-        return s;
-    }
-
-    double
-    real()
-    {
-        uint64_t bits = u64();
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
-    }
-};
-
 std::string
 encodePayload(const Event &e)
 {
     std::string p;
+    wire::Writer w(p);
     switch (e.type) {
       case EventType::Lifecycle:
-        putStr(p, e.phase);
-        putU32(p, static_cast<uint32_t>(e.exitCode));
-        putStr(p, e.verdict);
+        w.str(e.phase);
+        w.u32(static_cast<uint32_t>(e.exitCode));
+        w.str(e.verdict);
         break;
       case EventType::Heartbeat:
-        putU64(p, e.cycles);
-        putDouble(p, e.elapsedSeconds);
-        putDouble(p, e.cyclesPerSec);
-        putU64(p, e.frontier);
-        putU64(p, e.states);
-        putU64(p, e.rssBytes);
-        putDouble(p, e.budgetUsed);
+        w.u64(e.cycles);
+        w.real(e.elapsedSeconds);
+        w.real(e.cyclesPerSec);
+        w.u64(e.frontier);
+        w.u64(e.states);
+        w.u64(e.rssBytes);
+        w.real(e.budgetUsed);
         break;
       case EventType::StatsSnapshot:
-        putU32(p, static_cast<uint32_t>(e.stats.size()));
+        w.u32(static_cast<uint32_t>(e.stats.size()));
         for (const auto &[name, value] : e.stats) {
-            putStr(p, name);
-            putDouble(p, value);
+            w.str(name);
+            w.real(value);
         }
         break;
       case EventType::BudgetUsage:
-        putStr(p, e.resource);
-        putStr(p, e.severity);
-        putStr(p, e.detail);
+        w.str(e.resource);
+        w.str(e.severity);
+        w.str(e.detail);
         break;
     }
     return p;
@@ -178,9 +82,9 @@ enum class Decoded
 
 /** Decode one payload of frame type @p type into @p out. */
 Decoded
-decodePayload(uint8_t type, const std::string &payload, Event &out)
+decodePayload(uint8_t type, std::string_view payload, Event &out)
 {
-    PayloadReader r{payload};
+    wire::Reader r(payload);
     switch (static_cast<EventType>(type)) {
       case EventType::Lifecycle:
         out.type = EventType::Lifecycle;
@@ -200,11 +104,12 @@ decodePayload(uint8_t type, const std::string &payload, Event &out)
         break;
       case EventType::StatsSnapshot: {
         out.type = EventType::StatsSnapshot;
-        uint32_t n = r.u32();
-        if (r.bad || n > kMaxFrame)
+        // Each entry takes at least a name length and a value.
+        const uint32_t n = r.u32();
+        if (n > r.remaining() / 12)
             return Decoded::Malformed;
         out.stats.reserve(n);
-        for (uint32_t i = 0; i < n && !r.bad; ++i) {
+        for (uint32_t i = 0; i < n; ++i) {
             std::string name = r.str();
             double value = r.real();
             out.stats.emplace_back(std::move(name), value);
@@ -220,7 +125,7 @@ decodePayload(uint8_t type, const std::string &payload, Event &out)
       default:
         return Decoded::UnknownType; // stay forward-compatible
     }
-    return r.bad ? Decoded::Malformed : Decoded::Ok;
+    return r.bad() ? Decoded::Malformed : Decoded::Ok;
 }
 
 } // namespace
@@ -240,14 +145,9 @@ eventTypeName(EventType t)
 std::string
 encodeFrame(const Event &e)
 {
-    std::string payload = encodePayload(e);
-    std::string body;
-    putU8(body, static_cast<uint8_t>(e.type));
-    body.append(payload);
     std::string frame;
-    putU32(frame, static_cast<uint32_t>(payload.size()));
-    frame.append(body);
-    putU32(frame, crc32(body));
+    wire::appendFrame(frame, static_cast<uint8_t>(e.type),
+                      encodePayload(e));
     return frame;
 }
 
@@ -318,16 +218,12 @@ Reader::feed(const void *data, size_t n, std::vector<Event> &out)
         return; // desynced: discard the rest of the stream
     buf.append(static_cast<const char *>(data), n);
 
-    size_t pos = 0;
+    std::string_view rest(buf);
     while (true) {
-        if (buf.size() - pos < 4)
-            break;
-        uint32_t len = 0;
-        for (int i = 0; i < 4; ++i) {
-            len |= uint32_t{static_cast<uint8_t>(buf[pos + i])}
-                   << (8 * i);
-        }
-        if (len > kMaxFrame) {
+        const wire::Frame f = wire::parseFrame(rest, kMaxFrame);
+        if (f.status == wire::FrameStatus::Incomplete)
+            break; // wait for more bytes
+        if (f.status == wire::FrameStatus::TooLong) {
             // An unbelievable length means the length field itself is
             // damaged; the frame boundary is lost and nothing after
             // this point can be trusted.
@@ -336,29 +232,17 @@ Reader::feed(const void *data, size_t n, std::vector<Event> &out)
             buf.clear();
             return;
         }
-        const size_t frameSize = 4 + 1 + size_t{len} + 4;
-        if (buf.size() - pos < frameSize)
-            break; // incomplete: wait for more bytes
-        const char *body = buf.data() + pos + 4;
-        const size_t bodySize = 1 + size_t{len};
-        uint32_t want = 0;
-        for (int i = 0; i < 4; ++i) {
-            want |= uint32_t{static_cast<uint8_t>(
-                        buf[pos + 4 + bodySize + i])}
-                    << (8 * i);
-        }
-        if (crc32(body, bodySize) != want) {
+        rest.remove_prefix(f.bytes);
+        if (f.status == wire::FrameStatus::BadCrc) {
             // Payload damage with an intact boundary: skip just this
             // frame and keep decoding the stream.
             ++crcErrorCount;
-            pos += frameSize;
             continue;
         }
         Event e;
-        std::string payload(body + 1, len);
         // An unknown (or reserved) type is a valid frame from a newer
         // or older writer, not damage: skip it uncounted.
-        switch (decodePayload(static_cast<uint8_t>(body[0]), payload, e)) {
+        switch (decodePayload(f.type, f.payload, e)) {
           case Decoded::Ok:
             ++frameCount, out.push_back(std::move(e));
             break;
@@ -368,9 +252,8 @@ Reader::feed(const void *data, size_t n, std::vector<Event> &out)
             ++crcErrorCount;
             break;
         }
-        pos += frameSize;
     }
-    buf.erase(0, pos);
+    buf.erase(0, buf.size() - rest.size());
 }
 
 bool

@@ -15,8 +15,8 @@
  *
  *   u32 payload_len | u8 type | payload | u32 crc32(type + payload)
  *
- * — the same length-prefixed CRC-32 framing as the batch journal
- * (src/batch/journal.hh), chosen so a torn tail (kill -9 mid-write) or
+ * — the frame of src/base/wire.hh, which the batch journal
+ * (src/batch/journal.hh) shares, so a torn tail (kill -9 mid-write) or
  * a flipped bit costs at most the damaged frame, never a misparse.
  * Frames are capped at kMaxFrame; the writer additionally keeps every
  * frame within PIPE_BUF so each O_NONBLOCK pipe write is atomic — the

@@ -6,13 +6,14 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <utility>
 
 #include "base/faultfs.hh"
 #include "base/hash.hh"
 #include "base/logging.hh"
 #include "base/stats.hh"
+#include "base/wire.hh"
 
 namespace glifs::batch
 {
@@ -60,102 +61,6 @@ tornReplays()
     return s;
 }
 
-// ---------------------------------------------------------------------
-// Little-endian payload encoding into / out of std::string.
-// ---------------------------------------------------------------------
-
-void
-putU8(std::string &out, uint8_t v)
-{
-    out.push_back(static_cast<char>(v));
-}
-
-void
-putU32(std::string &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        putU8(out, static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::string &out, uint64_t v)
-{
-    putU32(out, static_cast<uint32_t>(v));
-    putU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void
-putStr(std::string &out, const std::string &s)
-{
-    putU32(out, static_cast<uint32_t>(s.size()));
-    out.append(s);
-}
-
-void
-putDouble(std::string &out, double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(out, bits);
-}
-
-/** Bounds-checked reader; sets `bad` instead of throwing so replay
- *  can treat a malformed payload like a torn record. */
-struct PayloadReader
-{
-    const std::string &buf;
-    size_t pos = 0;
-    bool bad = false;
-
-    uint8_t
-    u8()
-    {
-        if (pos + 1 > buf.size()) {
-            bad = true;
-            return 0;
-        }
-        return static_cast<uint8_t>(buf[pos++]);
-    }
-
-    uint32_t
-    u32()
-    {
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= uint32_t{u8()} << (8 * i);
-        return v;
-    }
-
-    uint64_t
-    u64()
-    {
-        uint64_t lo = u32();
-        return lo | (uint64_t{u32()} << 32);
-    }
-
-    std::string
-    str()
-    {
-        uint32_t n = u32();
-        if (bad || pos + n > buf.size()) {
-            bad = true;
-            return "";
-        }
-        std::string s = buf.substr(pos, n);
-        pos += n;
-        return s;
-    }
-
-    double
-    real()
-    {
-        uint64_t bits = u64();
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
-    }
-};
-
 } // namespace
 
 std::string
@@ -187,7 +92,7 @@ BatchJournal::create(const std::string &path,
         return BatchJournal{};
     }
     std::string header(kMagic, sizeof(kMagic));
-    putU32(header, kVersion);
+    wire::Writer(header).u32(kVersion);
     BatchJournal j(fd);
     if (faultfs::writeFull(fd, header.data(), header.size()) < 0) {
         GLIFS_WARN("cannot write batch journal header ", path, ": ",
@@ -198,7 +103,7 @@ BatchJournal::create(const std::string &path,
         return BatchJournal{};
     }
     std::string payload;
-    putStr(payload, fingerprint);
+    wire::Writer(payload).str(fingerprint);
     j.append(kRecManifest, payload);
     return j;
 }
@@ -229,13 +134,8 @@ BatchJournal::append(uint8_t type, const std::string &payload)
 {
     if (fd < 0)
         return;
-    std::string body;
-    putU8(body, type);
-    body.append(payload);
     std::string frame;
-    putU32(frame, static_cast<uint32_t>(payload.size()));
-    frame.append(body);
-    putU32(frame, crc32(body));
+    wire::appendFrame(frame, type, payload);
     // One write per record keeps every journal state reachable by a
     // crash at a syscall boundary; the fsync makes the record durable
     // before the action it logs is considered done.
@@ -257,9 +157,10 @@ BatchJournal::jobStarted(uint32_t index, const std::string &name,
                          const std::string &cacheKey)
 {
     std::string p;
-    putU32(p, index);
-    putStr(p, name);
-    putStr(p, cacheKey);
+    wire::Writer w(p);
+    w.u32(index);
+    w.str(name);
+    w.str(cacheKey);
     append(kRecJobStarted, p);
 }
 
@@ -268,8 +169,9 @@ BatchJournal::cachePublished(uint32_t index,
                              const std::string &cacheKey)
 {
     std::string p;
-    putU32(p, index);
-    putStr(p, cacheKey);
+    wire::Writer w(p);
+    w.u32(index);
+    w.str(cacheKey);
     append(kRecCachePublished, p);
 }
 
@@ -277,17 +179,18 @@ void
 BatchJournal::jobFinished(uint32_t index, const JobOutcome &outcome)
 {
     std::string p;
-    putU32(p, index);
-    putStr(p, outcome.name);
-    putStr(p, outcome.verdict);
-    putU32(p, static_cast<uint32_t>(outcome.exitCode));
-    putU8(p, static_cast<uint8_t>(outcome.cache));
-    putU32(p, outcome.attempts);
-    putU8(p, outcome.resumed ? 1 : 0);
-    putDouble(p, outcome.wallSeconds);
-    putU64(p, outcome.violationCount);
-    putStr(p, outcome.violationsJson);
-    putStr(p, outcome.detail);
+    wire::Writer w(p);
+    w.u32(index);
+    w.str(outcome.name);
+    w.str(outcome.verdict);
+    w.u32(static_cast<uint32_t>(outcome.exitCode));
+    w.u8(static_cast<uint8_t>(outcome.cache));
+    w.u32(outcome.attempts);
+    w.u8(outcome.resumed ? 1 : 0);
+    w.real(outcome.wallSeconds);
+    w.u64(outcome.violationCount);
+    w.str(outcome.violationsJson);
+    w.str(outcome.detail);
     append(kRecJobFinished, p);
 }
 
@@ -302,16 +205,12 @@ BatchJournal::replay(const std::string &path)
         out.torn = true;
         return out;
     }
-    char magic[8] = {};
-    in.read(magic, sizeof(magic));
-    uint8_t verBytes[4] = {};
-    in.read(reinterpret_cast<char *>(verBytes), sizeof(verBytes));
-    uint32_t version = static_cast<uint32_t>(verBytes[0]) |
-                       (uint32_t{verBytes[1]} << 8) |
-                       (uint32_t{verBytes[2]} << 16) |
-                       (uint32_t{verBytes[3]} << 24);
-    if (!in || !std::equal(magic, magic + sizeof(magic), kMagic) ||
-        version != kVersion) {
+    const std::string file((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    wire::Reader header(file);
+    const bool ours = header.bytes(sizeof(kMagic)) ==
+                      std::string_view(kMagic, sizeof(kMagic));
+    if (!ours || header.u32() != kVersion) {
         GLIFS_WARN("batch journal ", path,
                    " has a torn or foreign header; resuming nothing");
         out.torn = true;
@@ -319,40 +218,19 @@ BatchJournal::replay(const std::string &path)
         return out;
     }
 
-    while (true) {
-        uint8_t lenBytes[4] = {};
-        in.read(reinterpret_cast<char *>(lenBytes), sizeof(lenBytes));
-        if (in.gcount() == 0)
-            break; // clean end of journal
-        uint32_t len = static_cast<uint32_t>(lenBytes[0]) |
-                       (uint32_t{lenBytes[1]} << 8) |
-                       (uint32_t{lenBytes[2]} << 16) |
-                       (uint32_t{lenBytes[3]} << 24);
-        if (in.gcount() != sizeof(lenBytes) || len > kMaxRecord) {
+    // A short, oversized or CRC-failing record is the torn tail: keep
+    // the records before it.
+    std::string_view rest = header.bytes(header.remaining());
+    while (!rest.empty()) {
+        const wire::Frame f = wire::parseFrame(rest, kMaxRecord);
+        if (f.status != wire::FrameStatus::Complete) {
             out.torn = true;
             break;
         }
-        std::string body(size_t{len} + 1, '\0');
-        in.read(body.data(), static_cast<std::streamsize>(body.size()));
-        if (static_cast<size_t>(in.gcount()) != body.size()) {
-            out.torn = true;
-            break;
-        }
-        uint8_t crcBytes[4] = {};
-        in.read(reinterpret_cast<char *>(crcBytes), sizeof(crcBytes));
-        uint32_t want = static_cast<uint32_t>(crcBytes[0]) |
-                        (uint32_t{crcBytes[1]} << 8) |
-                        (uint32_t{crcBytes[2]} << 16) |
-                        (uint32_t{crcBytes[3]} << 24);
-        if (in.gcount() != sizeof(crcBytes) || crc32(body) != want) {
-            out.torn = true;
-            break;
-        }
+        rest.remove_prefix(f.bytes);
 
-        uint8_t type = static_cast<uint8_t>(body[0]);
-        std::string payload = body.substr(1);
-        PayloadReader r{payload};
-        switch (type) {
+        wire::Reader r(f.payload);
+        switch (f.type) {
           case kRecManifest:
             out.fingerprint = r.str();
             break;
@@ -369,7 +247,7 @@ BatchJournal::replay(const std::string &path)
             o.exitCode = static_cast<int>(r.u32());
             uint8_t cacheByte = r.u8();
             if (cacheByte > static_cast<uint8_t>(CacheStatus::Disabled))
-                r.bad = true;
+                r.fail();
             o.cache = static_cast<CacheStatus>(cacheByte);
             o.attempts = r.u32();
             o.resumed = r.u8() != 0;
@@ -377,14 +255,14 @@ BatchJournal::replay(const std::string &path)
             o.violationCount = r.u64();
             o.violationsJson = r.str();
             o.detail = r.str();
-            if (!r.bad)
+            if (!r.bad())
                 out.finished[index] = std::move(o);
             break;
           }
           default:
             break; // unknown record type: skip, stay compatible
         }
-        if (r.bad) {
+        if (r.bad()) {
             out.torn = true;
             break;
         }

@@ -25,6 +25,9 @@
  *   records:    u32 payload_len | u8 type | payload |
  *               u32 crc32(type + payload)
  *
+ * Records are the frames of src/base/wire.hh, shared with worker
+ * telemetry.
+ *
  * Journaling is best-effort by design: a journal that cannot be
  * written (ENOSPC, injected fault) disables itself with a warning and
  * a `batch.journal_write_failures` count — the batch still completes,

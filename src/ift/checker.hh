@@ -99,11 +99,11 @@ class ViolationLog
     void restore(const Violation &v);
 
     /**
-     * Fold an already-aggregated entry (e.g. from a worker segment)
-     * into the log: absent keys insert it verbatim, present keys add
-     * the observation counts and OR maskability, keeping the earlier
-     * firstCycle/detail -- the same aggregation record() performs
-     * cycle by cycle.
+     * Fold an already-aggregated entry (one of a path segment's
+     * violations) into the log: absent keys insert it verbatim,
+     * present keys add the observation counts and OR maskability,
+     * keeping the earlier firstCycle/detail -- the same aggregation
+     * record() performs cycle by cycle.
      */
     void merge(const Violation &v);
 

@@ -2,12 +2,13 @@
 
 #include <chrono>
 #include <fstream>
+#include <iterator>
 
 #include "base/hash.hh"
 #include "base/logging.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
-#include "ift/ckpt_io.hh"
+#include "base/wire.hh"
 
 namespace glifs
 {
@@ -39,19 +40,73 @@ ckptStats()
     return s;
 }
 
-/**
- * Per-thread scratch buffer for save/load bodies. Snapshot bodies of
- * one run are all about the same size, so after the first call the
- * serialize path performs no heap allocation beyond string payloads --
- * this is the steal-latency floor of parallel exploration, where every
- * shipped work unit rides through encodeBody/decodeBody.
- */
-std::string &
-scratchBuffer()
+void
+putPlane(wire::Writer &w, const BitPlane &p)
 {
-    static thread_local std::string buf;
-    buf.clear();
-    return buf;
+    w.u64(p.size());
+    for (uint64_t word : p.words())
+        w.u64(word);
+}
+
+void
+putState(wire::Writer &w, const SymState &s)
+{
+    putPlane(w, s.knownPlane());
+    putPlane(w, s.valuePlane());
+    putPlane(w, s.taintPlane());
+}
+
+/*
+ * The decoder trusts no size it reads: the CRC only proves the body is
+ * the one that was written, not that its writer was sane. Every count
+ * and plane length is bounded by the bytes left before anything is
+ * allocated, and every enum byte by its range.
+ */
+
+/** A section's entry count; each entry takes at least @p minEntry
+ *  bytes. */
+uint32_t
+sectionSize(wire::Reader &r, size_t minEntry)
+{
+    const uint32_t n = r.u32();
+    if (n > r.remaining() / minEntry)
+        GLIFS_RECOVERABLE("checkpoint: implausible section size ", n);
+    return n;
+}
+
+template <typename Enum>
+Enum
+readEnum(wire::Reader &r, Enum last, const char *what)
+{
+    const uint8_t v = r.u8();
+    if (v > static_cast<uint8_t>(last))
+        GLIFS_RECOVERABLE("checkpoint: bad ", what, " ", unsigned{v});
+    return static_cast<Enum>(v);
+}
+
+BitPlane
+readPlane(wire::Reader &r)
+{
+    const uint64_t nbits = r.u64();
+    if (nbits > r.remaining() / 8 * 64)
+        GLIFS_RECOVERABLE("checkpoint: implausible plane size ", nbits);
+    BitPlane p(static_cast<size_t>(nbits));
+    for (uint64_t &word : p.words())
+        word = r.u64();
+    return p;
+}
+
+SymState
+readState(wire::Reader &r)
+{
+    BitPlane k = readPlane(r);
+    BitPlane v = readPlane(r);
+    BitPlane t = readPlane(r);
+    if (k.size() != v.size() || v.size() != t.size())
+        GLIFS_RECOVERABLE("checkpoint: state plane size mismatch");
+    SymState s;
+    s.setPlanes(std::move(k), std::move(v), std::move(t));
+    return s;
 }
 
 } // namespace
@@ -79,7 +134,7 @@ checkpointFingerprint(const ProgramImage &image, size_t slots,
 void
 EngineCheckpoint::encodeBody(std::string &out) const
 {
-    ckptio::Writer w(out);
+    wire::Writer w(out);
     w.u64(fingerprint);
     w.u64(totalCycles);
     w.u64(pathsExplored);
@@ -108,17 +163,17 @@ EngineCheckpoint::encodeBody(std::string &out) const
         w.str(v.detail);
     }
 
-    w.plane(everTainted);
+    putPlane(w, everTainted);
 
     w.u32(static_cast<uint32_t>(table.size()));
     for (const auto &[key, state] : table) {
         w.u32(key);
-        w.symstate(state);
+        putState(w, state);
     }
 
     w.u32(static_cast<uint32_t>(frontier.size()));
     for (const auto &[state, node] : frontier) {
-        w.symstate(state);
+        putState(w, state);
         w.u32(node);
     }
 
@@ -136,7 +191,7 @@ EngineCheckpoint::encodeBody(std::string &out) const
 EngineCheckpoint
 EngineCheckpoint::decodeBody(std::string_view body)
 {
-    ckptio::Reader r(body);
+    wire::Reader r(body);
 
     EngineCheckpoint c;
     c.fingerprint = r.u64();
@@ -145,80 +200,63 @@ EngineCheckpoint::decodeBody(std::string_view body)
     c.branchPoints = r.u64();
     c.merges = r.u64();
     c.subsumptions = r.u64();
-    uint8_t level = r.u8();
-    if (level > static_cast<uint8_t>(DegradeLevel::PartialStop))
-        GLIFS_RECOVERABLE("checkpoint: bad degrade level ", level);
-    c.level = static_cast<DegradeLevel>(level);
+    c.level = readEnum(r, DegradeLevel::PartialStop, "degrade level");
 
-    uint32_t ndeg = r.u32();
-    if (ndeg > ckptio::kMaxSection)
-        GLIFS_RECOVERABLE("checkpoint: implausible section size");
-    c.degradations.reserve(ndeg);
-    for (uint32_t i = 0; i < ndeg; ++i) {
-        Degradation d;
-        d.level = static_cast<DegradeLevel>(r.u8());
-        d.trigger = static_cast<ResourceKind>(r.u8());
-        d.severity = static_cast<BudgetSeverity>(r.u8());
+    // Smallest entry: three enum bytes, cycle, instruction, no detail.
+    c.degradations.resize(sectionSize(r, 3 + 8 + 2 + 4));
+    for (Degradation &d : c.degradations) {
+        d.level = readEnum(r, DegradeLevel::PartialStop, "degrade level");
+        d.trigger = readEnum(r, ResourceKind::Interrupt, "trigger");
+        d.severity = readEnum(r, BudgetSeverity::Hard, "severity");
         d.cycle = r.u64();
         d.instrAddr = r.u16();
         d.detail = r.str();
-        c.degradations.push_back(std::move(d));
     }
 
-    uint32_t nviol = r.u32();
-    if (nviol > ckptio::kMaxSection)
-        GLIFS_RECOVERABLE("checkpoint: implausible section size");
-    c.violations.reserve(nviol);
-    for (uint32_t i = 0; i < nviol; ++i) {
-        Violation v;
-        v.kind = static_cast<ViolationKind>(r.u8());
+    // Smallest entry: kind, instruction, first cycle, count, maskable,
+    // no detail.
+    c.violations.resize(sectionSize(r, 1 + 2 + 8 + 4 + 1 + 4));
+    for (Violation &v : c.violations) {
+        v.kind = readEnum(r, ViolationKind::WatchdogTainted,
+                          "violation kind");
         v.instrAddr = r.u16();
         v.firstCycle = r.u64();
         v.count = r.u32();
         v.maskable = r.u8() != 0;
         v.detail = r.str();
-        c.violations.push_back(std::move(v));
     }
 
-    c.everTainted = r.plane();
+    c.everTainted = readPlane(r);
 
-    uint32_t ntable = r.u32();
-    if (ntable > ckptio::kMaxSection)
-        GLIFS_RECOVERABLE("checkpoint: implausible section size");
+    // Smallest entry: key and three empty planes.
+    const uint32_t ntable = sectionSize(r, 4 + 3 * 8);
     c.table.reserve(ntable);
     for (uint32_t i = 0; i < ntable; ++i) {
-        uint32_t key = r.u32();
-        c.table.emplace_back(key, r.symstate());
+        const uint32_t key = r.u32();
+        c.table.emplace_back(key, readState(r));
     }
 
-    uint32_t nfront = r.u32();
-    if (nfront > ckptio::kMaxSection)
-        GLIFS_RECOVERABLE("checkpoint: implausible section size");
+    // Smallest entry: three empty planes and the node.
+    const uint32_t nfront = sectionSize(r, 3 * 8 + 4);
     c.frontier.reserve(nfront);
     for (uint32_t i = 0; i < nfront; ++i) {
-        SymState s = r.symstate();
-        uint32_t node = r.u32();
-        c.frontier.emplace_back(std::move(s), node);
+        SymState s = readState(r);
+        c.frontier.emplace_back(std::move(s), r.u32());
     }
 
-    uint32_t ntree = r.u32();
-    if (ntree > ckptio::kMaxSection)
-        GLIFS_RECOVERABLE("checkpoint: implausible section size");
-    c.tree.reserve(ntree);
-    for (uint32_t i = 0; i < ntree; ++i) {
-        ExecNode n;
+    // Entry: id, parent, start PC, cycles, end instruction, end.
+    c.tree.resize(sectionSize(r, 4 + 4 + 2 + 8 + 2 + 1));
+    for (ExecNode &n : c.tree) {
         n.id = r.u32();
         n.parent = static_cast<int32_t>(r.u32());
         n.startPc = r.u16();
         n.cycles = r.u64();
         n.endInstr = r.u16();
-        uint8_t end = r.u8();
-        if (end > static_cast<uint8_t>(PathEnd::Degraded))
-            GLIFS_RECOVERABLE("checkpoint: bad path end ", end);
-        n.end = static_cast<PathEnd>(end);
-        c.tree.push_back(n);
+        n.end = readEnum(r, PathEnd::Degraded, "path end");
     }
 
+    if (r.bad())
+        GLIFS_RECOVERABLE("checkpoint: truncated body");
     return c;
 }
 
@@ -230,26 +268,18 @@ EngineCheckpoint::save(const std::string &path) const
 
     // Serialize the body to a buffer first so its CRC-32 can sit in
     // the header: load() then verifies the whole body before parsing
-    // a byte of it, turning any on-disk corruption into one clean
-    // RecoverableError instead of a garbage parse. The scratch is
-    // per-thread and reused across saves, so the serialize path does
-    // not re-allocate its working set on every snapshot.
-    std::string &bytes = scratchBuffer();
-    encodeBody(bytes);
+    // a byte of it.
+    std::string body;
+    encodeBody(body);
+    std::string header(kMagic, sizeof(kMagic));
+    wire::Writer w(header);
+    w.u32(kVersion);
+    w.u32(crc32(body));
 
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out)
         GLIFS_RECOVERABLE("checkpoint: cannot write ", path);
-    out.write(kMagic, sizeof(kMagic));
-    char hdr[8];
-    const uint32_t crc = crc32(bytes);
-    for (int i = 0; i < 4; ++i) {
-        hdr[i] = static_cast<char>((kVersion >> (8 * i)) & 0xFF);
-        hdr[4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
-    }
-    out.write(hdr, sizeof(hdr));
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
+    out << header << body;
     out.flush();
     if (!out)
         GLIFS_RECOVERABLE("checkpoint: write to ", path, " failed");
@@ -270,57 +300,33 @@ EngineCheckpoint::load(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     if (!in)
         GLIFS_RECOVERABLE("checkpoint: cannot open ", path);
-    char magic[8] = {};
-    in.read(magic, sizeof(magic));
-    if (in.gcount() != sizeof(magic) ||
-        !std::equal(magic, magic + sizeof(magic), kMagic)) {
+    const std::string file((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    wire::Reader r(file);
+    if (r.bytes(sizeof(kMagic)) != std::string_view(kMagic, sizeof(kMagic)))
         GLIFS_RECOVERABLE("checkpoint: ", path,
                           " is not a glifs checkpoint");
-    }
-    char hdr[8] = {};
-    in.read(hdr, sizeof(hdr));
-    if (in.gcount() != sizeof(hdr))
+    const uint32_t version = r.u32();
+    const uint32_t wantCrc = r.u32();
+    if (r.bad())
         GLIFS_RECOVERABLE("checkpoint: truncated file");
-    uint32_t version = 0;
-    uint32_t wantCrc = 0;
-    for (int i = 0; i < 4; ++i) {
-        version |= uint32_t{static_cast<uint8_t>(hdr[i])} << (8 * i);
-        wantCrc |= uint32_t{static_cast<uint8_t>(hdr[4 + i])}
-                   << (8 * i);
-    }
     if (version != kVersion) {
         GLIFS_RECOVERABLE("checkpoint: version ", version,
                           " unsupported (expected ", kVersion, ")");
     }
 
-    // Slurp and verify the body before parsing: a bit flip anywhere
-    // must become this one error, not a semi-plausible parse. The
-    // slurp reuses the per-thread scratch, so repeated loads (the
-    // parallel coordinator re-reading shipped work units) settle into
-    // a steady-state allocation footprint.
-    std::string &bytes = scratchBuffer();
-    in.seekg(0, std::ios::end);
-    const std::streamoff fileEnd = in.tellg();
-    constexpr std::streamoff kBodyOff =
-        static_cast<std::streamoff>(sizeof(kMagic) + sizeof(hdr));
-    if (fileEnd < kBodyOff)
-        GLIFS_RECOVERABLE("checkpoint: truncated file");
-    bytes.resize(static_cast<size_t>(fileEnd - kBodyOff));
-    in.seekg(kBodyOff, std::ios::beg);
-    in.read(bytes.data(),
-            static_cast<std::streamsize>(bytes.size()));
-    if (static_cast<size_t>(in.gcount()) != bytes.size())
-        GLIFS_RECOVERABLE("checkpoint: truncated file");
-    if (crc32(bytes) != wantCrc)
+    // Verify the body before parsing: a bit flip anywhere must become
+    // this one error, not a semi-plausible parse.
+    const std::string_view body = r.bytes(r.remaining());
+    if (crc32(body.data(), body.size()) != wantCrc)
         GLIFS_RECOVERABLE("checkpoint: ", path,
                           " failed its integrity check (corrupt or "
                           "truncated body)");
-    EngineCheckpoint c = decodeBody(bytes);
+    EngineCheckpoint c = decodeBody(body);
 
     CheckpointStats &st = ckptStats();
     ++st.loads;
-    st.bytesRead.set(static_cast<double>(sizeof(kMagic) + 8 +
-                                         bytes.size()));
+    st.bytesRead.set(static_cast<double>(file.size()));
     st.loadSeconds.set(std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t0)
                            .count());

@@ -10,13 +10,16 @@
  * and netlist reproduces the uninterrupted run bit-for-bit on the
  * EngineResult counters and violations.
  *
- * Format: magic "GLFSCKPT", a little-endian version word, a CRC-32 of
- * the body, then the body: a (image, layout) fingerprint and the
- * length-prefixed sections. Loading verifies the CRC before parsing
- * anything, so bad magic, unknown versions, truncation and arbitrary
- * bit flips all surface as one RecoverableError — callers are expected
- * to fall back to a fresh run, never to crash or trust a corrupt
- * snapshot.
+ * Format (the little-endian codec of base/wire.hh): magic "GLFSCKPT",
+ * a version word, a CRC-32 of the body, then the body: a (image,
+ * layout) fingerprint and the length-prefixed sections. Loading
+ * verifies the CRC before parsing anything, then bounds every size
+ * and enum byte it reads, and a resuming engine checks every state
+ * width and node index against its own layout. So bad magic, unknown
+ * versions, truncation, arbitrary bit flips and a CRC-valid body of
+ * implausible contents all surface as one RecoverableError — callers
+ * are expected to fall back to a fresh run, never to crash or trust a
+ * corrupt snapshot.
  */
 
 #ifndef GLIFS_IFT_CHECKPOINT_HH
@@ -92,7 +95,9 @@ struct EngineCheckpoint
     void encodeBody(std::string &out) const;
 
     /** Parse a body produced by encodeBody; RecoverableError on any
-     *  defect. The caller has already verified integrity (CRC). */
+     *  defect. The caller has already verified integrity (CRC), but
+     *  that proves no size or enum byte plausible, so each is bounded
+     *  before use: by the bytes left, or by its enum's range. */
     static EngineCheckpoint decodeBody(std::string_view body);
 };
 

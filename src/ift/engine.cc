@@ -494,6 +494,39 @@ struct RunCtx
     }
 };
 
+/**
+ * Check that a checkpoint fits this run before any of it is used. Its
+ * CRC proves only that the body is the one written: a state of the
+ * wrong width would trip an assertion in the state table or the
+ * simulator, and a node index past the tree would index out of bounds.
+ */
+void
+checkResumeShape(const EngineCheckpoint &c, size_t slots, size_t nets)
+{
+    if (c.everTainted.size() != nets)
+        GLIFS_RECOVERABLE("checkpoint: tainted-net plane mismatch");
+    auto checkState = [slots](const SymState &s) {
+        if (s.numSlots() != slots) {
+            GLIFS_RECOVERABLE("checkpoint: a state of ", s.numSlots(),
+                              " slots, the layout has ", slots);
+        }
+    };
+    for (const auto &[key, state] : c.table)
+        checkState(state);
+    for (size_t i = 0; i < c.tree.size(); ++i) {
+        const ExecNode &n = c.tree[i];
+        if (n.id != i || n.parent < -1 || n.parent >= int64_t(i))
+            GLIFS_RECOVERABLE("checkpoint: bad execution-tree node ", i);
+    }
+    for (const auto &[state, node] : c.frontier) {
+        checkState(state);
+        if (node >= c.tree.size()) {
+            GLIFS_RECOVERABLE("checkpoint: frontier node ", node,
+                              " outside a tree of ", c.tree.size());
+        }
+    }
+}
+
 } // namespace
 
 IftEngine::IftEngine(const Soc &s, const Policy &p,
@@ -560,8 +593,8 @@ IftEngine::run(const ProgramImage &image, const EngineCheckpoint *resume,
                 "checkpoint does not match this program image and "
                 "netlist (was the firmware or SoC changed?)");
         }
-        if (resume->everTainted.size() != soc.netlist().numNets())
-            GLIFS_RECOVERABLE("checkpoint: tainted-net plane mismatch");
+        checkResumeShape(*resume, ctx.ps.layout.slots(),
+                         soc.netlist().numNets());
 
         ctx.totalCycles = resume->totalCycles;
         ctx.gov.chargeCycles(resume->totalCycles);

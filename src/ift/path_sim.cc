@@ -120,16 +120,6 @@ PathSim::statePcXBits(const SymState &s) const
 }
 
 bool
-PathSim::statePcTainted(const SymState &s) const
-{
-    for (size_t slot : pcSlots) {
-        if (s.slot(slot).taint)
-            return true;
-    }
-    return false;
-}
-
-bool
 PathSim::simPcUnknown() const
 {
     // Flop slots are numbered like layout.dffNets().

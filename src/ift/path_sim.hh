@@ -171,9 +171,6 @@ class PathSim
     /** Unknown PC bits of a captured state. */
     std::vector<unsigned> statePcXBits(const SymState &s) const;
 
-    /** Any taint on the PC bits of a captured state. */
-    bool statePcTainted(const SymState &s) const;
-
     uint16_t statePcBase(const SymState &s) const;
 
     /** Decode the instruction at a program address (nullopt: data). */

@@ -15,9 +15,11 @@
 #include <vector>
 
 #include "assembler/assembler.hh"
+#include "base/hash.hh"
 #include "base/logging.hh"
 #include "base/stats.hh"
 #include "base/trace.hh"
+#include "base/wire.hh"
 #include "ift/checkpoint.hh"
 #include "ift/engine.hh"
 #include "ift/governor.hh"
@@ -388,6 +390,33 @@ class CheckpointTest : public GovernedEngineTest
     {
         return testutil::tempDir("governor") + "/" + name;
     }
+
+    /** A snapshot of kViolationProgram stopped at cycle 10. */
+    EngineCheckpoint
+    midRunCheckpoint() const
+    {
+        EngineConfig cfg;
+        cfg.maxCycles = 10;
+        cfg.checkpointOnStop = true;
+        EngineResult partial =
+            IftEngine(*soc, benchmarkPolicy(0x10, 0x7F), cfg)
+                .run(assembleSource(kViolationProgram));
+        EXPECT_NE(partial.checkpoint, nullptr);
+        EngineCheckpoint c = *partial.checkpoint;
+        EXPECT_FALSE(c.table.empty());
+        EXPECT_FALSE(c.frontier.empty());
+        return c;
+    }
+
+    /** Resuming kViolationProgram from @p c raises RecoverableError. */
+    void
+    expectResumeRejected(const EngineCheckpoint &c) const
+    {
+        IftEngine engine(*soc, benchmarkPolicy(0x10, 0x7F),
+                         EngineConfig{});
+        EXPECT_THROW(engine.run(assembleSource(kViolationProgram), &c),
+                     RecoverableError);
+    }
 };
 
 /**
@@ -617,6 +646,146 @@ TEST_F(CheckpointTest, BodyAndHeaderBytesArePinned)
     std::string again;
     EngineCheckpoint::decodeBody(body).encodeBody(again);
     EXPECT_EQ(again, body);
+}
+
+// ---------------------------------------------------------------------
+// A CRC-valid body is not a trusted one: crafted contents must still
+// be one RecoverableError, raised before any large allocation.
+// ---------------------------------------------------------------------
+
+/** A checkpoint file around @p body with a correct header and CRC. */
+void
+writeCheckpointFile(const std::string &path, const std::string &body)
+{
+    std::string file = "GLFSCKPT";
+    wire::Writer w(file);
+    w.u32(EngineCheckpoint::kVersion);
+    w.u32(crc32(body));
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << file << body;
+}
+
+/** The body's counters and ladder level, all zero. */
+std::string
+zeroHead()
+{
+    std::string body;
+    wire::Writer w(body);
+    for (int i = 0; i < 6; ++i)
+        w.u64(0);
+    w.u8(0);
+    return body;
+}
+
+/** Expect @p body rejected with a message containing @p what. */
+void
+expectRejected(const std::string &body, const std::string &what)
+{
+    try {
+        EngineCheckpoint::decodeBody(body);
+        ADD_FAILURE() << "decoded; expected \"" << what << "\"";
+    } catch (const RecoverableError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST_F(CheckpointTest, HugePlaneLengthIsRejectedBeforeAllocating)
+{
+    // 81 bytes: header, zero counters and level, empty degradation and
+    // violation sections, and an everTainted plane of 2^36 - 1 bits
+    // with no words behind it. Allocating it would take 8 GiB.
+    std::string body = zeroHead();
+    wire::Writer w(body);
+    w.u32(0);
+    w.u32(0);
+    w.u64((1ull << 36) - 1);
+    const std::string path = tempPath("huge_plane.ckpt");
+    writeCheckpointFile(path, body);
+    ASSERT_EQ(16 + body.size(), 81u);
+    try {
+        EngineCheckpoint::load(path);
+        ADD_FAILURE() << "crafted checkpoint loaded";
+    } catch (const RecoverableError &e) {
+        EXPECT_NE(std::string(e.what()).find("implausible plane size"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST_F(CheckpointTest, ImplausibleSectionCountsAreRejected)
+{
+    // Each section in turn claims 2^26 entries over an empty rest.
+    for (int section = 0; section < 5; ++section) {
+        SCOPED_TRACE(testing::Message() << "section " << section);
+        std::string body = zeroHead();
+        wire::Writer w(body);
+        for (int i = 0; i < 5; ++i) {
+            if (i == 2)
+                w.u64(0); // the everTainted plane, before the table
+            w.u32(i == section ? 1u << 26 : 0);
+        }
+        expectRejected(body, "implausible section size");
+    }
+}
+
+TEST_F(CheckpointTest, OutOfRangeEnumBytesAreRejected)
+{
+    std::string body;
+    goldenCheckpoint().encodeBody(body);
+    // Offsets in the golden body (BodyAndHeaderBytesArePinned).
+    const std::pair<size_t, const char *> enums[] = {
+        {48, "degrade level"}, // the ladder level
+        {53, "degrade level"}, // the degradation's level
+        {54, "trigger"},
+        {55, "severity"},
+        {78, "violation kind"},
+        {body.size() - 1, "path end"},
+    };
+    for (const auto &[offset, what] : enums) {
+        SCOPED_TRACE(what);
+        std::string bad = body;
+        bad[offset] = static_cast<char>(0xFF);
+        expectRejected(bad, what);
+    }
+    EXPECT_NO_THROW(EngineCheckpoint::decodeBody(body));
+}
+
+TEST_F(CheckpointTest, ResumeRejectsStatesOfTheWrongWidth)
+{
+    // Without the check, these reach a GLIFS_ASSERT panic.
+    const EngineCheckpoint ckpt = midRunCheckpoint();
+    EngineCheckpoint table = ckpt;
+    table.table[0].second = smallState(5, 0, 0, 0);
+    expectResumeRejected(table);
+
+    EngineCheckpoint frontier = ckpt;
+    frontier.frontier[0].first = smallState(5, 0, 0, 0);
+    expectResumeRejected(frontier);
+
+    // The untouched checkpoint resumes.
+    IftEngine engine(*soc, benchmarkPolicy(0x10, 0x7F), EngineConfig{});
+    EXPECT_TRUE(
+        engine.run(assembleSource(kViolationProgram), &ckpt).completed);
+}
+
+TEST_F(CheckpointTest, ResumeRejectsNodeIndicesOutsideTheTree)
+{
+    // Without the check, the first indexes ExecTree::node out of
+    // bounds, the other two ExecTree::str()'s node and child lists.
+    const EngineCheckpoint ckpt = midRunCheckpoint();
+    EngineCheckpoint frontier = ckpt;
+    frontier.frontier[0].second =
+        static_cast<uint32_t>(frontier.tree.size());
+    expectResumeRejected(frontier);
+
+    EngineCheckpoint parent = ckpt;
+    parent.tree[0].parent = static_cast<int32_t>(parent.tree.size());
+    expectResumeRejected(parent);
+
+    EngineCheckpoint id = ckpt;
+    id.tree[0].id = 1;
+    expectResumeRejected(id);
 }
 
 TEST_F(CheckpointTest, RejectsGarbageFile)

@@ -394,8 +394,18 @@ runAudit(const Options &opts)
         }
     }
 
-    EngineResult result =
-        analyzeGoverned(soc, policy, img, opts, resume);
+    EngineResult result;
+    try {
+        result = analyzeGoverned(soc, policy, img, opts, resume);
+    } catch (const RecoverableError &e) {
+        // The engine rejects a snapshot that does not fit this
+        // firmware and netlist before it simulates a cycle.
+        if (!resume)
+            throw;
+        std::fprintf(stderr, "glifs_audit: %s; starting a fresh run\n",
+                     e.what());
+        result = analyzeGoverned(soc, policy, img, opts, nullptr);
+    }
     std::printf("analysis: %s\n\n", result.summary().c_str());
     printDegradations(result);
 
